@@ -1,37 +1,21 @@
-"""Time-step kernels for the radial solver.
-
-Two interchangeable implementations of the same variable-step update:
-a numba @njit loop kernel (default) and a vectorized pure-numpy fallback.
-Set BLOWUPLAB_DISABLE_NUMBA=1 to force the numpy path; `USING_NUMBA`
-reports which one is live. `benchmarks/bench_step.py` compares the two.
+"""Time-step kernel for the radial solver.
 
 The update is a three-level leapfrog generalized to nonuniform dt:
 u'' and u' are the standard second-order nonuniform stencils at level n,
 the damping term mu/(1+t) u' is taken semi-implicitly (linear in u^{n+1}),
 and the nonlinear sources a|u_t|^p + b|u|^q are evaluated at level n with
 a second-order reconstruction of u_t.
+
+The kernel works on the solver's support window: its input and output
+arrays hold the first n cells of the radial grid, every cell past the
+active index i_hi is exactly zero, and it updates cells 0..i_hi only.
+`radial_laplacian` is the one discrete Laplacian of the package; the
+solver's Taylor start uses it too.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLE = os.environ.get("BLOWUPLAB_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by BLOWUPLAB_DISABLE_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    _HAVE_NUMBA = False
 
 
 def _step_coeffs(t, dt, dt_prev, mu):
@@ -48,85 +32,46 @@ def _step_coeffs(t, dt, dt_prev, mu):
     return c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom
 
 
-def advance_numpy(u, u_prev, v, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi):
-    """One step of the scheme; returns (u_next, v_next).
+def radial_laplacian(u, h, dim, hi):
+    """u_rr + (dim-1)/r u_r at cells 0..hi; u must hold at least hi + 2 cells.
 
-    Cells with index > i_hi are outside the active support window and stay
-    exactly zero; the last grid cell is a homogeneous Dirichlet boundary.
+    The origin row is the regularized limit 2 dim (u_1 - u_0) / h^2.
     """
-    n = u.shape[0]
-    c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom = _step_coeffs(
-        t, dt, dt_prev, mu
-    )
-    u_next = np.zeros(n)
-    v_next = np.zeros(n)
-    hi = min(i_hi, n - 2)
-
-    lap = np.zeros(hi + 1)
+    lap = np.empty(hi + 1)
     lap[0] = 2.0 * dim * (u[1] - u[0]) / (h * h)
     idx = np.arange(1, hi + 1)
     lap[1:] = (u[2 : hi + 2] - 2.0 * u[1 : hi + 1] + u[0:hi]) / (h * h) + (
         dim - 1.0
     ) / (idx * h) * (u[2 : hi + 2] - u[0:hi]) / (2.0 * h)
-
-    src = a * np.abs(v[: hi + 1]) ** p + b * np.abs(u[: hi + 1]) ** q
-    rhs = (
-        lap
-        + src
-        + forcing[: hi + 1]
-        - (acc_cur + c * vel_cur) * u[: hi + 1]
-        - (acc_old + c * vel_old) * u_prev[: hi + 1]
-    )
-    u_new = rhs / denom
-    acc = acc_new * u_new + acc_cur * u[: hi + 1] + acc_old * u_prev[: hi + 1]
-    u_next[: hi + 1] = u_new
-    v_next[: hi + 1] = (u_new - u[: hi + 1]) / dt + 0.5 * dt * acc
-    return u_next, v_next
+    return lap
 
 
-def _advance_loop(u, u_prev, v, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi):
+def advance(u, u_prev, v, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi):
+    """One step of the scheme; returns (u_next, v_next), as long as u.
+
+    Cells with index > i_hi are outside the active support window and stay
+    exactly zero; the last cell of the arrays is never updated, so at the
+    full grid length it is the homogeneous Dirichlet boundary. `forcing` is
+    None for the unforced equation.
+    """
     n = u.shape[0]
-    s = dt + dt_prev
-    c = mu / (1.0 + t)
-    acc_new = 2.0 / (dt * s)
-    acc_cur = -2.0 / (dt * dt_prev)
-    acc_old = 2.0 / (dt_prev * s)
-    vel_new = dt_prev / (dt * s)
-    vel_cur = (dt - dt_prev) / (dt * dt_prev)
-    vel_old = -dt / (dt_prev * s)
-    denom = acc_new + c * vel_new
+    c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom = _step_coeffs(
+        t, dt, dt_prev, mu
+    )
+    hi = min(i_hi, n - 2)
+    w = slice(0, hi + 1)
+
+    rhs = radial_laplacian(u, h, dim, hi)
+    rhs += a * np.abs(v[w]) ** p + b * np.abs(u[w]) ** q
+    if forcing is not None:
+        rhs += forcing[w]
+    rhs -= (acc_cur + c * vel_cur) * u[w]
+    rhs -= (acc_old + c * vel_old) * u_prev[w]
+    u_new = rhs / denom
+    acc = acc_new * u_new + acc_cur * u[w] + acc_old * u_prev[w]
 
     u_next = np.zeros(n)
     v_next = np.zeros(n)
-    hi = min(i_hi, n - 2)
-    inv_h2 = 1.0 / (h * h)
-    for i in range(hi + 1):
-        if i == 0:
-            lap = 2.0 * dim * (u[1] - u[0]) * inv_h2
-        else:
-            lap = (u[i + 1] - 2.0 * u[i] + u[i - 1]) * inv_h2 + (dim - 1.0) / (
-                i * h
-            ) * (u[i + 1] - u[i - 1]) / (2.0 * h)
-        src = a * abs(v[i]) ** p + b * abs(u[i]) ** q
-        rhs = (
-            lap
-            + src
-            + forcing[i]
-            - (acc_cur + c * vel_cur) * u[i]
-            - (acc_old + c * vel_old) * u_prev[i]
-        )
-        u_new = rhs / denom
-        acc = acc_new * u_new + acc_cur * u[i] + acc_old * u_prev[i]
-        u_next[i] = u_new
-        v_next[i] = (u_new - u[i]) / dt + 0.5 * dt * acc
+    u_next[w] = u_new
+    v_next[w] = (u_new - u[w]) / dt + 0.5 * dt * acc
     return u_next, v_next
-
-
-if _HAVE_NUMBA:
-    advance_numba = njit(cache=True, fastmath=False)(_advance_loop)
-    advance = advance_numba
-    USING_NUMBA = True
-else:
-    advance_numba = None
-    advance = advance_numpy
-    USING_NUMBA = False

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, NoBlowUpObservedError, NoTheoremError
 from .exponents import ModelParams, RegionClassification, classify
-from .functionals import MonitorSeries, compute_snapshot
+from .functionals import MonitorSeries, _trapezoid_weights, compute_snapshot
 from .specfun import TestFunctionContext, log_phi, surface_area
 
 # Amplitude-scaled dt safety factor near blow-up.
@@ -50,7 +50,12 @@ class InitialProfile:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One radial Cauchy problem: model, data size, grid and run policy."""
+    """One radial Cauchy problem: model, data size, grid and run policy.
+
+    The grid has nr + 1 cells on [0, L]. A run's state holds only the part
+    the solution's support r <= t + R has reached, so nr fixes h = L / nr and
+    caps the state's length; it is not what a step costs.
+    """
 
     params: ModelParams
     eps: float
@@ -91,7 +96,12 @@ class SimConfig:
 
 @dataclass
 class State:
-    """Two-level grid state at time t (current level u, previous u_prev)."""
+    """Two-level grid state at time t (current level u, previous u_prev).
+
+    u, u_prev and v share one length n and hold the first n cells of the
+    radial grid; every cell past n is zero. The solver keeps n between the
+    active window plus its stencil cell and the full grid (nr + 1 cells).
+    """
 
     t: float
     dt_prev: float
@@ -128,16 +138,6 @@ def _grid(cfg: SimConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.L, cfg.nr + 1)
 
 
-def _laplacian(u: np.ndarray, h: float, dim: int) -> np.ndarray:
-    lap = np.zeros_like(u)
-    lap[0] = 2.0 * dim * (u[1] - u[0]) / (h * h)
-    idx = np.arange(1, u.shape[0] - 1)
-    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h) + (dim - 1.0) / (
-        idx * h
-    ) * (u[2:] - u[:-2]) / (2.0 * h)
-    return lap
-
-
 def _active_hi(cfg: SimConfig, t: float) -> int:
     # Finite speed of propagation: nothing outside r <= t + R can be nonzero,
     # so cells beyond a small stencil margin are pinned to exact zero.
@@ -146,10 +146,36 @@ def _active_hi(cfg: SimConfig, t: float) -> int:
     return min(cfg.nr - 1, int((t + cfg.profile.R) / cfg.h) + 3)
 
 
+def _padded(a: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
+    if a is None:
+        return None
+    out = np.zeros(n)
+    out[: a.shape[0]] = a
+    return out
+
+
+def _cover(state: State, cfg: SimConfig, hi: int) -> State:
+    """state, zero-padded if needed so that it holds cells 0..hi + 1.
+
+    The length grows geometrically (x2, capped at nr + 1), so the number of
+    regrowths is logarithmic and the length stays within twice the window.
+    """
+    n = state.u.shape[0]
+    if hi + 2 <= n:
+        return state
+    n = min(cfg.nr + 1, max(2 * n, hi + 2))
+    return replace(
+        state,
+        u=_padded(state.u, n),
+        u_prev=_padded(state.u_prev, n),
+        v=_padded(state.v, n),
+    )
+
+
 def build_initial_state(cfg: SimConfig) -> State:
-    """State at t = 0 with u = eps f, u_t = eps g on the grid."""
-    r = _grid(cfg)
-    f = cfg.eps * cfg.profile.values(r)
+    """State at t = 0 with u = eps f, u_t = eps g on the support window."""
+    n = _active_hi(cfg, 0.0) + 2
+    f = cfg.eps * cfg.profile.values(np.arange(n) * cfg.h)
     return State(t=0.0, dt_prev=0.0, u=f, u_prev=None, v=f.copy(), step=0, h=cfg.h)
 
 
@@ -162,8 +188,7 @@ def propose_dt(state: State, cfg: SimConfig) -> float:
     """
     p, q = cfg.params.p, cfg.params.q
     # everything beyond the active window is exactly zero, so the max scans
-    # can stop there (the sweep layer allocates domains far larger than the
-    # portion a run actually reaches before blowing up)
+    # can stop there (the state may hold up to twice the window)
     hi = _active_hi(cfg, state.t) + 1
     amp = (
         float(np.max(np.abs(state.u[:hi]))) ** (q - 1.0)
@@ -176,51 +201,40 @@ def propose_dt(state: State, cfg: SimConfig) -> float:
     return dt
 
 
-_ZERO_CACHE: dict = {}
-
-
-def _forcing_values(cfg: SimConfig, t: float) -> np.ndarray:
-    if cfg.forcing is None:
-        # Shared read-only zero buffer; the kernels never write into forcing.
-        buf = _ZERO_CACHE.get(cfg.nr)
-        if buf is None:
-            buf = np.zeros(cfg.nr + 1)
-            _ZERO_CACHE[cfg.nr] = buf
-        return buf
-    return np.asarray(cfg.forcing(_grid(cfg), t), dtype=float)
-
-
 def time_step(state: State, cfg: SimConfig) -> State:
     """Advance one step; the first step is a second-order Taylor start."""
     params = cfg.params
     a, b = float(params.a), float(params.b)
     dt = propose_dt(state, cfg)
+    t_next = state.t + dt
+    hi = _active_hi(cfg, t_next)
+    state = _cover(state, cfg, hi)
+    forcing = None
+    if cfg.forcing is not None:
+        # forced runs keep the whole grid active (_active_hi is nr - 1)
+        forcing = np.asarray(cfg.forcing(_grid(cfg), state.t), dtype=float)
 
     if state.step == 0:
-        u0, v0 = state.u, state.v
+        w = slice(0, hi + 1)
+        u0, v0 = state.u[w], state.v[w]
         src = a * np.abs(v0) ** params.p + b * np.abs(u0) ** params.q
-        acc = _laplacian(u0, cfg.h, params.N) - params.mu * v0 + src
-        acc = acc + _forcing_values(cfg, 0.0)
-        u1 = u0 + dt * v0 + 0.5 * dt * dt * acc
-        v1 = v0 + dt * acc
-        hi = _active_hi(cfg, dt)
-        u1[hi + 1 :] = 0.0
-        v1[hi + 1 :] = 0.0
-        u1[-1] = 0.0
-        v1[-1] = 0.0
-        return State(t=dt, dt_prev=dt, u=u1, u_prev=u0, v=v1, step=1, h=cfg.h)
+        acc = kernels.radial_laplacian(state.u, cfg.h, params.N, hi)
+        acc = acc - params.mu * v0 + src
+        if forcing is not None:
+            acc = acc + forcing[w]
+        u1 = np.zeros_like(state.u)
+        v1 = np.zeros_like(state.u)
+        u1[w] = u0 + dt * v0 + 0.5 * dt * dt * acc
+        v1[w] = v0 + dt * acc
+        return State(
+            t=t_next, dt_prev=dt, u=u1, u_prev=state.u, v=v1, step=1, h=cfg.h
+        )
 
-    forcing = _forcing_values(cfg, state.t)
-    hi = _active_hi(cfg, state.t + dt)
-    # Hand the kernel only the active window plus its stencil margin; the
-    # cells beyond stay exactly zero, so the full-size outputs can be lazy
-    # callocs instead of per-step memsets over the whole (large) domain.
-    m = min(hi + 2, cfg.nr + 1)
-    un, vn = kernels.advance(
-        state.u[:m],
-        state.u_prev[:m],
-        state.v[:m],
-        forcing[:m],
+    u_next, v_next = kernels.advance(
+        state.u,
+        state.u_prev,
+        state.v,
+        forcing,
         state.t,
         dt,
         state.dt_prev,
@@ -233,12 +247,8 @@ def time_step(state: State, cfg: SimConfig) -> State:
         params.q,
         hi,
     )
-    u_next = np.zeros(cfg.nr + 1)
-    v_next = np.zeros(cfg.nr + 1)
-    u_next[:m] = un
-    v_next[:m] = vn
     return State(
-        t=state.t + dt,
+        t=t_next,
         dt_prev=dt,
         u=u_next,
         u_prev=state.u,
@@ -250,10 +260,10 @@ def time_step(state: State, cfg: SimConfig) -> State:
 
 def discrete_energy(state: State, cfg: SimConfig) -> float:
     """E = 1/2 int (u_t^2 + u_r^2) dx on the radial grid (trapezoid)."""
-    r = _grid(cfg)
+    n = state.u.shape[0]
+    r = np.arange(n) * cfg.h
     ur = np.gradient(state.u, cfg.h, edge_order=2)
-    w = np.full_like(r, cfg.h)
-    w[0] = w[-1] = 0.5 * cfg.h
+    w = _trapezoid_weights(n, cfg.h)
     dens = 0.5 * (state.v**2 + ur**2) * r ** (cfg.params.N - 1)
     return surface_area(cfg.params.N) * float(np.dot(w, dens))
 
@@ -261,13 +271,21 @@ def discrete_energy(state: State, cfg: SimConfig) -> float:
 def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
     """Iterate time_step until blow-up, t >= t_max, or instability."""
     ctx = TestFunctionContext(N=cfg.params.N, mu=cfg.params.mu, R=cfg.profile.R)
-    lphi = log_phi(cfg.params.N, _grid(cfg)) if monitor else None
+    series = MonitorSeries.collector()
+    lphi = np.empty(0)  # log phi on the cells the state has held so far
+
+    def record(state: State, amp: float, dt: float) -> None:
+        nonlocal lphi
+        n = state.u.shape[0]
+        if lphi.shape[0] < n:
+            new = np.arange(lphi.shape[0], n) * cfg.h
+            lphi = np.concatenate((lphi, log_phi(cfg.params.N, new)))
+        series.record(compute_snapshot(state, ctx, cfg.params, lphi[:n]), amp, dt)
 
     state = build_initial_state(cfg)
     amp0 = float(np.max(np.abs(state.u)))
-    series = MonitorSeries.collector()
     if monitor:
-        series.record(compute_snapshot(state, ctx, cfg.params, lphi), amp0, 0.0)
+        record(state, amp0, 0.0)
 
     outcome, t_blow, reason = "reached_tmax", None, ""
     while state.t < cfg.t_max:
@@ -285,20 +303,14 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
             break
         amp = float(np.max(np.abs(state.u[:hi])))
         if monitor and state.step % cfg.monitor_stride == 0:
-            series.record(
-                compute_snapshot(state, ctx, cfg.params, lphi), amp, state.dt_prev
-            )
+            record(state, amp, state.dt_prev)
         if amp0 > 0 and amp >= cfg.blowup_threshold * amp0:
             outcome, t_blow = "blowup", state.t
             reason = f"amplitude reached {cfg.blowup_threshold:g} x initial"
             break
 
     if monitor and state.finite() and state.step % cfg.monitor_stride != 0:
-        series.record(
-            compute_snapshot(state, ctx, cfg.params, lphi),
-            float(np.max(np.abs(state.u))),
-            state.dt_prev,
-        )
+        record(state, float(np.max(np.abs(state.u))), state.dt_prev)
     return RunResult(
         outcome=outcome,
         t_blowup=t_blow,

@@ -1,7 +1,6 @@
-"""The numba step kernel and the numpy fallback must be interchangeable."""
+"""The step kernel: support window, boundary cell, leapfrog limit, damping."""
 
 import numpy as np
-import pytest
 
 from blowuplab import kernels
 
@@ -14,26 +13,12 @@ def _random_state(n, rng):
     return u, u_prev, v, forcing
 
 
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba path disabled")
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("i_hi", [10, 63, 200])
-def test_numba_matches_numpy(dim, i_hi):
-    rng = np.random.default_rng(7 * dim + i_hi)
-    n = 64
-    u, u_prev, v, forcing = _random_state(n, rng)
-    args = (u, u_prev, v, forcing, 0.7, 0.01, 0.008, 0.05, dim, 0.5, 1.0, 1.0, 1.9, 2.2, i_hi)
-    un_a, vn_a = kernels.advance_numba(*args)
-    un_b, vn_b = kernels.advance_numpy(*args)
-    np.testing.assert_allclose(un_a, un_b, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(vn_a, vn_b, rtol=1e-13, atol=1e-14)
-
-
 def test_support_window_stays_zero():
     rng = np.random.default_rng(3)
     n = 50
     u, u_prev, v, forcing = _random_state(n, rng)
     i_hi = 20
-    un, vn = kernels.advance_numpy(
+    un, vn = kernels.advance(
         u, u_prev, v, forcing, 0.2, 0.01, 0.01, 0.1, 1, 0.5, 1.0, 0.0, 2.0, 2.0, i_hi
     )
     assert np.all(un[i_hi + 1 :] == 0.0)
@@ -45,7 +30,7 @@ def test_dirichlet_boundary_cell():
     rng = np.random.default_rng(4)
     n = 30
     u, u_prev, v, forcing = _random_state(n, rng)
-    un, vn = kernels.advance_numpy(
+    un, vn = kernels.advance(
         u, u_prev, v, forcing, 0.2, 0.01, 0.01, 0.1, 2, 1.0, 0.0, 1.0, 2.0, 2.2, n - 1
     )
     assert un[-1] == 0.0 and vn[-1] == 0.0
@@ -60,7 +45,7 @@ def test_uniform_step_reduces_to_leapfrog():
     u_prev = np.exp(-((r + 0.01) ** 2))
     v = np.zeros(n)
     forcing = np.zeros(n)
-    un, _ = kernels.advance_numpy(
+    un, _ = kernels.advance(
         u, u_prev, v, forcing, 1.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, n - 2
     )
     lap = np.zeros(n)
@@ -80,27 +65,10 @@ def test_damping_sign():
     u[-1] = u_prev[-1] = 0.0
     v = np.zeros(n)
     forcing = np.zeros(n)
-    un0, _ = kernels.advance_numpy(
+    un0, _ = kernels.advance(
         u, u_prev, v, forcing, 0.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, 5
     )
-    un1, _ = kernels.advance_numpy(
+    un1, _ = kernels.advance(
         u, u_prev, v, forcing, 0.0, dt, dt, h, 1, 2.0, 0.0, 0.0, 2.0, 2.0, 5
     )
     assert np.all(un1[:4] < un0[:4])
-
-
-def test_env_flag_selects_numpy(tmp_path):
-    # Re-import in a subprocess with the flag set; the fallback must be live.
-    import subprocess
-    import sys
-
-    code = (
-        "import blowuplab.kernels as k; "
-        "assert not k.USING_NUMBA; "
-        "assert k.advance is k.advance_numpy"
-    )
-    env = {"BLOWUPLAB_DISABLE_NUMBA": "1", "PATH": "/usr/bin:/bin"}
-    res = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert res.returncode == 0, res.stderr

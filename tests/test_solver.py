@@ -1,10 +1,14 @@
 """Radial finite-difference solver: correctness, order, and run policy."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from blowuplab import solver
 from blowuplab.errors import ConfigError, NoBlowUpObservedError
 from blowuplab.exponents import ModelParams
 from blowuplab.solver import (
@@ -95,10 +99,81 @@ class TestTimeStepping:
             L=12.0, nr=600, t_max=4.0,
         )
         st = _march(cfg, build_initial_state(cfg), 3.0)
-        r = np.arange(cfg.nr + 1) * cfg.h
+        assert st.u.shape[0] <= cfg.nr + 1
+        r = np.arange(st.u.shape[0]) * cfg.h
         outside = r > st.t + 1.0 + 4 * cfg.h
         assert np.all(st.u[outside] == 0.0)
         assert np.any(st.u[r <= st.t + 1.0] != 0.0)
+
+
+class TestSupportWindow:
+    """The state holds the support window only; nr merely caps its growth."""
+
+    @staticmethod
+    def _check_window(state, cfg):
+        n = state.u.shape[0]
+        hi = solver._active_hi(cfg, state.t)
+        assert state.v.shape[0] == n
+        assert state.u_prev is None or state.u_prev.shape[0] == n
+        assert n <= cfg.nr + 1
+        assert n <= max(64, 2 * (hi + 2))
+        assert np.all(state.u[hi + 1 :] == 0.0)
+        assert np.all(state.v[hi + 1 :] == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        N=hs.sampled_from([1, 2, 3]),
+        eps=hs.floats(0.05, 3.0),
+        steps=hs.integers(1, 300),
+    )
+    def test_matches_a_fifty_times_larger_domain(self, N, eps, steps):
+        params = ModelParams(N=N, mu=0.5, p=2.0, q=2.2, a=1, b=1)
+        # L exceeds t_max + R by 20 cells, so the capped run never sees its
+        # outer boundary and both runs must agree bit for bit
+        cfg = SimConfig(params=params, eps=eps, L=8.0, nr=160, t_max=6.0)
+        big = replace(cfg, L=50 * cfg.L, nr=50 * cfg.nr)
+        assert big.h == cfg.h
+        a, b = build_initial_state(cfg), build_initial_state(big)
+        lengths = {a.u.shape[0]}
+        for _ in range(steps):
+            if a.t >= cfg.t_max or not np.max(np.abs(a.u)) < 1e6 * eps:
+                break
+            a, b = time_step(a, cfg), time_step(b, big)
+            lengths.add(a.u.shape[0])
+            assert a.t == b.t
+            n = min(a.u.shape[0], b.u.shape[0])
+            for x, y in ((a.u, b.u), (a.v, b.v)):
+                np.testing.assert_array_equal(x[:n], y[:n])
+                assert not x[n:].any() and not y[n:].any()
+            self._check_window(a, cfg)
+            self._check_window(b, big)
+        # geometric growth: a handful of regrowths, not one per new cell
+        assert len(lengths) <= math.log2(cfg.nr + 1) + 1
+        ra, rb = run(cfg, monitor=False), run(big, monitor=False)
+        assert (ra.outcome, ra.t_blowup, ra.steps) == (rb.outcome, rb.t_blowup, rb.steps)
+
+    def test_monitored_log_phi_follows_support(self, monkeypatch):
+        points = []
+        log_phi = solver.log_phi
+
+        def counted(N, r):
+            points.append(np.size(r))
+            return log_phi(N, r)
+
+        monkeypatch.setattr(solver, "log_phi", counted)
+        params = ModelParams(N=3, mu=0.5, p=1.9, q=2.2, a=1, b=1)
+        cfg = SimConfig(params=params, eps=1.2, L=22.0, nr=440, t_max=20.0)
+        res = run(cfg)
+        assert res.outcome == "blowup"
+        total = sum(points)
+        hi = solver._active_hi(cfg, res.t_blowup)
+        assert total <= max(64, 2 * (hi + 2))
+
+        points.clear()
+        res_big = run(replace(cfg, L=100 * cfg.L, nr=100 * cfg.nr))
+        assert sum(points) == total
+        assert res_big.t_blowup == res.t_blowup
+        np.testing.assert_array_equal(res_big.monitors.G1, res.monitors.G1)
 
 
 class TestEnergy:
