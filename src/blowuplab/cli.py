@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,8 +173,9 @@ def _cmd_verify(args) -> int:
         }
         coer_ok = not coer.violated
     except BlowupLabError as exc:
-        coer_payload = {"error": str(exc)}
-        coer_ok = True  # window too short to judge
+        # window too short to judge: reported as skipped, neither pass nor failure
+        coer_payload = {"error": str(exc), "status": "skipped"}
+        coer_ok = True
 
     res = functionals.residual_F(series, params)
     t_end = float(series.t[-1])
@@ -204,6 +206,9 @@ def _cmd_sweep(args) -> int:
 
     result = sweep(base, eps_list, refine=refine, jobs=args.jobs)
     fit_payload: dict = {"bound": {"kind": result.bound.kind, "exponent": result.bound.exponent}}
+    unstable = sum(row.outcome == "unstable" for row in result.rows)
+    if unstable:
+        fit_payload["unstable_rows"] = unstable
     verdict_tag = "not-applicable"
     try:
         if result.bound.kind == "algebraic":
@@ -213,24 +218,14 @@ def _cmd_sweep(args) -> int:
         else:
             fit = None
         if fit is not None:
-            fit_payload["fit"] = {
-                "kind": fit.kind,
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "r_squared": fit.r_squared,
-                "theoretical_exponent": fit.theoretical_exponent,
-                "relative_deviation": fit.relative_deviation,
-                "n_points": fit.n_points,
-            }
+            fit_payload["fit"] = asdict(fit)
             if result.bound.kind == "algebraic":
                 verdict = compare_to_theory(fit, result.bound, tau)
+                if unstable and verdict.verdict == "consistent":
+                    # the fit left out rows that failed numerically
+                    verdict = replace(verdict, verdict="inconclusive")
                 verdict_tag = verdict.verdict
-                fit_payload["verdict"] = {
-                    "verdict": verdict.verdict,
-                    "measured": verdict.measured,
-                    "theoretical": verdict.theoretical,
-                    "tau": verdict.tau,
-                }
+                fit_payload["verdict"] = asdict(verdict)
     except BlowupLabError as exc:
         fit_payload["fit_error"] = str(exc)
 

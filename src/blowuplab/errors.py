@@ -22,7 +22,12 @@ class NoTheoremError(BlowupLabError, ValueError):
 
 
 class NoBlowUpObservedError(BlowupLabError, RuntimeError):
-    """A lifespan measurement was requested but a run reached t_max."""
+    """A lifespan measurement was requested but a run did not blow up.
+
+    `outcome` is the run's outcome: "reached_tmax" or "unstable".
+    """
+
+    outcome = "reached_tmax"
 
 
 class InsufficientDataError(BlowupLabError, ValueError):

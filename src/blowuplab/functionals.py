@@ -13,7 +13,7 @@ stay representable far past where rho(t) * phi(r) would overflow naively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import InsufficientDataError, WindowEmptyError
 from .exponents import ModelParams
 from .specfun import (
     TestFunctionContext,
+    _gauss_legendre,
     log_phi,
     log_rho,
     phi,
@@ -51,7 +52,11 @@ class FunctionalSnapshot:
 
 @dataclass(frozen=True)
 class MonitorSeries:
-    """Time series of the monitored functionals (one row per snapshot)."""
+    """Time series of the monitored functionals (one row per snapshot).
+
+    Its fields are the one monitor schema: the collector in `solver.run`,
+    the columns of monitors.csv and their reader all follow this list.
+    """
 
     t: np.ndarray
     max_abs_u: np.ndarray
@@ -67,37 +72,18 @@ class MonitorSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    @staticmethod
-    def collector() -> "MonitorCollector":
-        return MonitorCollector()
-
-
-class MonitorCollector:
-    def __init__(self) -> None:
-        self._rows: list[tuple] = []
-
-    def record(self, snap: FunctionalSnapshot, max_abs_u: float, dt: float) -> None:
-        self._rows.append(
-            (
-                snap.t,
-                max_abs_u,
-                snap.F,
-                snap.G,
-                snap.G1,
-                snap.G2,
-                snap.Gamma,
-                snap.int_ut_p,
-                snap.int_u_q,
-                dt,
-            )
+    @classmethod
+    def from_rows(cls, rows) -> "MonitorSeries":
+        """One series from a list of dicts keyed by MONITOR_COLUMNS."""
+        return cls(
+            **{
+                name: np.array([row[name] for row in rows], dtype=float)
+                for name in MONITOR_COLUMNS
+            }
         )
 
-    def freeze(self) -> MonitorSeries:
-        cols = (
-            np.array([row[k] for row in self._rows], dtype=float)
-            for k in range(10)
-        )
-        return MonitorSeries(*cols)
+
+MONITOR_COLUMNS = tuple(f.name for f in fields(MonitorSeries))
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -143,7 +129,7 @@ def c_fg(ctx: TestFunctionContext, profile: "InitialProfile", eps: float) -> flo
 
     Positive for nonnegative, nonvanishing data. f = g = the bump profile.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(_CFG_QUAD_NODES)
+    nodes, wts = _gauss_legendre(_CFG_QUAD_NODES)
     r = 0.5 * profile.R * (nodes + 1.0)
     w = 0.5 * profile.R * wts
     f = profile.values(r)
@@ -193,7 +179,7 @@ def lemma31_ratio(ctx: TestFunctionContext, t: float, r_exp: float) -> float:
     if r_exp <= 1:
         raise InsufficientDataError(f"exponent must exceed 1, got {r_exp}")
     upper = t + ctx.R
-    nodes, wts = np.polynomial.legendre.leggauss(_LEMMA_QUAD_NODES)
+    nodes, wts = _gauss_legendre(_LEMMA_QUAD_NODES)
     s = 0.5 * upper * (nodes + 1.0)
     w = 0.5 * upper * wts
 

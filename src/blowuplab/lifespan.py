@@ -27,7 +27,7 @@ class SweepRow:
     eps: float
     T_est: float
     uncertainty: float
-    outcome: str  # "blowup" | "reached_tmax"
+    outcome: str  # "blowup" | "reached_tmax" | "unstable"
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ def _measure_row(args) -> SweepRow:
     try:
         est = measure_lifespan(cfg, refine)
         return SweepRow(cfg.eps, est.t_est, est.uncertainty, "blowup")
-    except NoBlowUpObservedError:
-        return SweepRow(cfg.eps, math.nan, math.nan, "reached_tmax")
+    except NoBlowUpObservedError as exc:
+        return SweepRow(cfg.eps, math.nan, math.nan, exc.outcome)
 
 
 def sweep(
@@ -118,12 +118,13 @@ def sweep(
 
 def _blowup_rows(result: SweepResult):
     rows = [r for r in result.rows if r.outcome == "blowup"]
-    dropped = len(result.rows) - len(rows)
-    if dropped:
-        warnings.warn(
-            f"{dropped} censored row(s) (reached t_max) excluded from the fit",
-            stacklevel=3,
-        )
+    for outcome, what in (
+        ("reached_tmax", "censored row(s) (reached t_max)"),
+        ("unstable", "unstable row(s) (non-finite state)"),
+    ):
+        dropped = sum(r.outcome == outcome for r in result.rows)
+        if dropped:
+            warnings.warn(f"{dropped} {what} excluded from the fit", stacklevel=3)
     return rows
 
 

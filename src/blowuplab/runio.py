@@ -18,24 +18,14 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientDataError
 from .exponents import ModelParams
-from .functionals import MonitorSeries, residual_F
+from .functionals import MONITOR_COLUMNS, MonitorSeries, residual_F
 from .lifespan import SweepResult
 from .solver import InitialProfile, RunResult, SimConfig
 
 TOOL_VERSION = "blowuplab 0.1.0"
 
-CSV_COLUMNS = (
-    "t",
-    "max_abs_u",
-    "F",
-    "G",
-    "G1",
-    "G2",
-    "int_ut_p",
-    "int_u_q",
-    "residual",
-    "dt",
-)
+# monitors.csv: the monitor schema plus the relative F'' identity residual
+CSV_COLUMNS = MONITOR_COLUMNS + ("residual",)
 
 
 def canonical_json(obj) -> str:
@@ -133,42 +123,22 @@ def write_series_csv(path: Path, series: MonitorSeries, params: ModelParams) -> 
         rel = residual_F(series, params).relative
     except InsufficientDataError:
         rel = np.full(len(series), math.nan)
+    cols = [getattr(series, name) for name in MONITOR_COLUMNS] + [rel]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for i in range(len(series)):
-            writer.writerow(
-                [
-                    _fmt(series.t[i]),
-                    _fmt(series.max_abs_u[i]),
-                    _fmt(series.F[i]),
-                    _fmt(series.G[i]),
-                    _fmt(series.G1[i]),
-                    _fmt(series.G2[i]),
-                    _fmt(series.int_ut_p[i]),
-                    _fmt(series.int_u_q[i]),
-                    _fmt(rel[i]),
-                    _fmt(series.dt[i]),
-                ]
-            )
+            writer.writerow([_fmt(col[i]) for col in cols])
 
 
 def read_series_csv(path) -> MonitorSeries:
     with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    col = lambda name: np.array([float(r[name]) for r in rows])
-    return MonitorSeries(
-        t=col("t"),
-        max_abs_u=col("max_abs_u"),
-        F=col("F"),
-        G=col("G"),
-        G1=col("G1"),
-        G2=col("G2"),
-        Gamma=np.full(len(rows), math.nan),
-        int_ut_p=col("int_ut_p"),
-        int_u_q=col("int_u_q"),
-        dt=col("dt"),
-    )
+        reader = csv.DictReader(fh)
+        missing = [name for name in MONITOR_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path}: missing monitor column(s) {', '.join(missing)}")
+        rows = [{name: float(row[name]) for name in MONITOR_COLUMNS} for row in reader]
+    return MonitorSeries.from_rows(rows)
 
 
 def default_out_dir(cli_value=None) -> Path:

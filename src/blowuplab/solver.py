@@ -201,11 +201,16 @@ def propose_dt(state: State, cfg: SimConfig) -> float:
     return dt
 
 
-def time_step(state: State, cfg: SimConfig) -> State:
-    """Advance one step; the first step is a second-order Taylor start."""
+def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State:
+    """Advance one step; the first step is a second-order Taylor start.
+
+    dt defaults to propose_dt(state, cfg); a caller that has already
+    proposed it passes it in.
+    """
     params = cfg.params
     a, b = float(params.a), float(params.b)
-    dt = propose_dt(state, cfg)
+    if dt is None:
+        dt = propose_dt(state, cfg)
     t_next = state.t + dt
     hi = _active_hi(cfg, t_next)
     state = _cover(state, cfg, hi)
@@ -271,7 +276,7 @@ def discrete_energy(state: State, cfg: SimConfig) -> float:
 def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
     """Iterate time_step until blow-up, t >= t_max, or instability."""
     ctx = TestFunctionContext(N=cfg.params.N, mu=cfg.params.mu, R=cfg.profile.R)
-    series = MonitorSeries.collector()
+    rows: list[dict] = []
     lphi = np.empty(0)  # log phi on the cells the state has held so far
 
     def record(state: State, amp: float, dt: float) -> None:
@@ -280,7 +285,8 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
         if lphi.shape[0] < n:
             new = np.arange(lphi.shape[0], n) * cfg.h
             lphi = np.concatenate((lphi, log_phi(cfg.params.N, new)))
-        series.record(compute_snapshot(state, ctx, cfg.params, lphi[:n]), amp, dt)
+        snap = compute_snapshot(state, ctx, cfg.params, lphi[:n])
+        rows.append(dict(vars(snap), max_abs_u=amp, dt=dt))
 
     state = build_initial_state(cfg)
     amp0 = float(np.max(np.abs(state.u)))
@@ -294,7 +300,7 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
             outcome, t_blow = "blowup", state.t
             reason = f"dt={dt:.3e} fell below dt_min"
             break
-        state = time_step(state, cfg)
+        state = time_step(state, cfg, dt)
         hi = _active_hi(cfg, state.t) + 1
         if not (
             np.isfinite(state.u[:hi]).all() and np.isfinite(state.v[:hi]).all()
@@ -315,7 +321,7 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
         outcome=outcome,
         t_blowup=t_blow,
         reason=reason,
-        monitors=series.freeze(),
+        monitors=MonitorSeries.from_rows(rows),
         h=cfg.h,
         steps=state.step,
         amp0=amp0,
@@ -341,10 +347,12 @@ def measure_lifespan(cfg: SimConfig, refine: int = 2) -> LifespanEstimate:
         level_cfg = replace(cfg, nr=cfg.nr * 2**level)
         result = run(level_cfg, monitor=False)
         if result.outcome != "blowup":
-            raise NoBlowUpObservedError(
+            exc = NoBlowUpObservedError(
                 f"run at level {level} ended with {result.outcome!r} "
                 f"(t_max={cfg.t_max}, eps={cfg.eps})"
             )
+            exc.outcome = result.outcome
+            raise exc
         ts.append(result.t_blowup)
 
     levels = tuple(ts)

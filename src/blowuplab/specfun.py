@@ -12,6 +12,7 @@ at the end and log-valued accessors are exposed for the monitor layer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,11 +20,24 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], built once per n.
+
+    Callers share the cached arrays, so they are returned read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 # Gauss-Legendre nodes per quadrature panel for K_nu.
 _PANEL_NODES = 16
 
 # Fixed 256-node rule on [0, pi] for the sphere-average reduction of phi.
-_PHI_NODES, _PHI_WEIGHTS = np.polynomial.legendre.leggauss(256)
+_PHI_NODES, _PHI_WEIGHTS = _gauss_legendre(256)
 _PHI_THETA = 0.5 * math.pi * (_PHI_NODES + 1.0)
 _PHI_W = 0.5 * math.pi * _PHI_WEIGHTS
 
@@ -71,7 +85,7 @@ def _zeta_max(nu: float, t: float, cfg: BesselEvalConfig) -> float:
 def _kv_scaled(nu: float, t: float, cfg: BesselEvalConfig) -> float:
     """Scaled integral I(nu, t) = e^t K_nu(t), by panel-doubled Gauss-Legendre."""
     zmax = _zeta_max(nu, t, cfg)
-    base_x, base_w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    base_x, base_w = _gauss_legendre(_PANEL_NODES)
 
     def estimate(panels: int) -> float:
         edges = np.linspace(0.0, zmax, panels + 1)

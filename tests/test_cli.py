@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, artifact layout, and reproducibility."""
 
+import csv
 import json
+import warnings
 
 import pytest
 
@@ -83,7 +85,8 @@ class TestSolve:
         assert manifest["outcome"] == "blowup"
         assert manifest["t_blowup"] > 0
         csv_text = (run_dirs[0] / "monitors.csv").read_text()
-        assert csv_text.startswith("t,max_abs_u,F,G,G1,G2,int_ut_p,int_u_q,residual,dt")
+        header = csv_text.splitlines()[0]
+        assert header == "t,max_abs_u,F,G,G1,G2,Gamma,int_ut_p,int_u_q,dt,residual"
 
     def test_idempotent_hash_dir(self, tmp_path):
         cfg = _write(tmp_path, "run.json", RUN_CONFIG)
@@ -128,6 +131,35 @@ class TestVerify:
     def test_verify_missing_dir_exit_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent")]) == 2
 
+    def _solved(self, tmp_path, capsys):
+        # the run of test_verify_blowup_run, fine enough for the residual check
+        out = tmp_path / "results"
+        cfg = _write(tmp_path, "run.json", dict(RUN_CONFIG, nr=800))
+        main(["solve", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        return next(out.iterdir())
+
+    def test_verify_csv_missing_column_exit_2(self, tmp_path, capsys):
+        run_dir = self._solved(tmp_path, capsys)
+        path = run_dir / "monitors.csv"
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        with open(path, "w", newline="") as fh:
+            names = [c for c in rows[0] if c != "Gamma"]
+            writer = csv.DictWriter(fh, names, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["verify", str(run_dir)]) == 2
+        assert "Gamma" in capsys.readouterr().err
+
+    def test_empty_coercivity_window_is_skipped(self, tmp_path, capsys):
+        run_dir = self._solved(tmp_path, capsys)
+        assert main(["verify", str(run_dir), "--t-lo", "1e6"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["coercivity"]["status"] == "skipped"
+        assert "error" in report["coercivity"]
+        assert "minG1_over_eps" not in report["coercivity"]
+
 
 class TestSweep:
     def test_sweep_artifacts_and_verdict(self, tmp_path, capsys):
@@ -152,6 +184,26 @@ class TestSweep:
         main(["sweep", "--config", cfg, "--out", str(out)])
         second = {p.name: p.read_bytes() for p in sweep_dir.iterdir()}
         assert first == second
+
+    @pytest.mark.parametrize("unstable", [(), (0.2,)])
+    def test_unstable_row_never_consistent(self, tmp_path, fake_runs, unstable):
+        fake_runs(unstable=set(unstable))
+        doc = dict(SWEEP_CONFIG, eps_list=[0.4, 0.3, 0.2, 0.1])
+        out = tmp_path / "results"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["sweep", "--config", _write(tmp_path, "s.json", doc), "--out", str(out)])
+        assert code == 0
+        sweep_dir = next(out.iterdir())
+        fit = json.loads((sweep_dir / "fit.json").read_text())
+        outcomes = (sweep_dir / "sweep.csv").read_text().count(",unstable")
+        assert outcomes == len(unstable)
+        if unstable:
+            assert fit["verdict"]["verdict"] == "inconclusive"
+            assert fit["unstable_rows"] == 1
+        else:
+            assert fit["verdict"]["verdict"] == "consistent"
+            assert "unstable_rows" not in fit
 
     def test_missing_eps_list_exit_2(self, tmp_path):
         cfg = _write(tmp_path, "sweep.json", {"base": RUN_CONFIG})

@@ -148,3 +148,30 @@ class TestSweep:
         for a, b in zip(serial.rows, parallel.rows):
             assert (a.eps, a.T_est, a.outcome) == (b.eps, b.T_est, b.outcome)
             assert np.isnan(a.uncertainty) == np.isnan(b.uncertainty)
+
+
+class TestOutcomes:
+    def test_unstable_run_is_recorded_as_unstable(self, fake_runs):
+        fake_runs(unstable={0.2})
+        result = sweep(BASE, [0.4, 0.3, 0.2, 0.1], refine=1)
+        assert [r.outcome for r in result.rows] == ["blowup", "blowup", "unstable", "blowup"]
+        assert math.isnan(result.rows[2].T_est)
+
+    def test_censored_and_unstable_rows_warned_apart(self):
+        rows = (
+            SweepRow(0.4, 2.0 * 0.4**-2, 0.0, "blowup"),
+            SweepRow(0.3, 2.0 * 0.3**-2, 0.0, "blowup"),
+            SweepRow(0.25, math.nan, math.nan, "unstable"),
+            SweepRow(0.2, 2.0 * 0.2**-2, 0.0, "blowup"),
+            SweepRow(0.15, math.nan, math.nan, "reached_tmax"),
+            SweepRow(0.1, math.nan, math.nan, "reached_tmax"),
+        )
+        res = SweepResult(rows, BASE, LifespanBound("algebraic", 2.0))
+        with pytest.warns(UserWarning) as record:
+            fit = fit_power_law(res)
+        messages = sorted(str(w.message) for w in record)
+        assert messages == [
+            "1 unstable row(s) (non-finite state) excluded from the fit",
+            "2 censored row(s) (reached t_max) excluded from the fit",
+        ]
+        assert fit.n_points == 3

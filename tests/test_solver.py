@@ -11,6 +11,7 @@ from hypothesis import strategies as hs
 from blowuplab import solver
 from blowuplab.errors import ConfigError, NoBlowUpObservedError
 from blowuplab.exponents import ModelParams
+from blowuplab.functionals import MONITOR_COLUMNS
 from blowuplab.solver import (
     InitialProfile,
     SimConfig,
@@ -256,6 +257,25 @@ class TestRun:
         assert r1.t_blowup == r2.t_blowup
         assert r1.steps == r2.steps
         np.testing.assert_array_equal(r1.monitors.F, r2.monitors.F)
+
+    def test_one_propose_dt_per_step(self, monkeypatch):
+        params = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=1, b=0)
+        cfg = SimConfig(params=params, eps=0.4, L=12.0, nr=200, t_max=10.0)
+        calls = []
+        monkeypatch.setattr(
+            solver, "propose_dt", lambda *a: calls.append(1) or propose_dt(*a)
+        )
+        res = run(cfg)
+        assert res.outcome == "blowup"
+        assert len(calls) <= res.steps + 1
+        # the dt run hands to time_step is the one time_step would propose
+        monkeypatch.setattr(solver, "time_step", lambda s, c, dt=None: time_step(s, c))
+        own = run(cfg)
+        assert (res.t_blowup, res.steps) == (own.t_blowup, own.steps)
+        for name in MONITOR_COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(res.monitors, name), getattr(own.monitors, name)
+            )
 
 
 class TestMeasureLifespan:

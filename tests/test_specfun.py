@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from blowuplab import specfun
 from blowuplab.errors import AccuracyError, DomainError
+from blowuplab.functionals import lemma31_ratio
 from blowuplab.specfun import (
     BesselEvalConfig,
     TestFunctionContext,
@@ -232,3 +234,32 @@ def test_surface_area():
     assert surface_area(1) == pytest.approx(2.0)
     assert surface_area(2) == pytest.approx(2.0 * math.pi)
     assert surface_area(3) == pytest.approx(4.0 * math.pi)
+
+
+class TestGaussLegendre:
+    def test_each_rule_built_once(self, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(
+            np.polynomial.legendre, "leggauss", lambda n: built.append(n) or leggauss(n)
+        )
+        specfun._gauss_legendre.cache_clear()
+        try:
+            ctx = TestFunctionContext(N=3, mu=0.5)
+            for t in (0.0, 1.0, 5.0):
+                log_rho(ctx, t)
+                rho_log_derivative(ctx, t)
+                lemma31_ratio(ctx, t, 2.0)
+            assert sorted(built) == [16, 1024]
+        finally:
+            specfun._gauss_legendre.cache_clear()
+
+    @pytest.mark.parametrize("n", [16, 256, 512, 1024])
+    def test_read_only_and_exact(self, n):
+        nodes, weights = specfun._gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
