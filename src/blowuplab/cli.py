@@ -72,7 +72,7 @@ def _cmd_classify(args) -> int:
 
 
 def _params_payload(doc: dict) -> dict:
-    return doc["params"] if "params" in doc else doc
+    return doc["params"] if isinstance(doc, dict) and "params" in doc else doc
 
 
 def _specfun_rows():
@@ -153,17 +153,18 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     manifest = runio.load_json(run_dir / "manifest.json")
-    params = runio.params_from_dict(manifest["config"]["params"])
+    config = runio._require(manifest, "config", "manifest")
+    params = runio.params_from_dict(runio._require(config, "params", "manifest config"))
+    profile = runio._require(config, "profile", "manifest config")
+    R = runio._require(profile, "R", "manifest profile")
+    eps = runio._require(config, "eps", "manifest config")
     series = runio.read_series_csv(run_dir / "monitors.csv")
-    ctx = specfun.TestFunctionContext(
-        N=params.N, mu=params.mu, R=manifest["config"]["profile"]["R"]
-    )
+    ctx = specfun.TestFunctionContext(N=params.N, mu=params.mu, R=R)
 
     ratios = [functionals.lemma31_ratio(ctx, t, 2.0) for t in np.linspace(0.0, 30.0, 31)]
     ref = functionals.lemma31_ratio(ctx, 5.0, 2.0)
     lemma_ok = max(ratios) <= 10.0 * ref
 
-    eps = manifest["config"]["eps"]
     try:
         coer = functionals.coercivity_report(series, eps, t_lo=args.t_lo)
         coer_payload = {

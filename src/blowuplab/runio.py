@@ -37,7 +37,7 @@ def config_hash(obj) -> str:
 
 
 def _require(d: dict, key: str, where: str):
-    if key not in d:
+    if not isinstance(d, dict) or key not in d:
         raise ConfigError(f"missing key {key!r} in {where}")
     return d[key]
 

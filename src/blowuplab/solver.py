@@ -7,6 +7,7 @@ blow-up and reporting a numerical lifespan validated by grid refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -101,6 +102,11 @@ class State:
     u, u_prev and v share one length n and hold the first n cells of the
     radial grid; every cell past n is zero. The solver keeps n between the
     active window plus its stencil cell and the full grid (nr + 1 cells).
+    g, when set, holds kernels.radial_coefficients for cells 1..n - 1 or more.
+
+    A state's arrays are never modified after construction: each step and
+    each regrowth builds a new State. That is what lets `amps` be computed
+    once and shared by dt control, the finiteness check and the blow-up test.
     """
 
     t: float
@@ -110,9 +116,20 @@ class State:
     v: np.ndarray  # second-order u_t reconstruction at the current level
     step: int
     h: float
+    g: Optional[np.ndarray] = None
+
+    @functools.cached_property
+    def amps(self) -> tuple[float, float]:
+        """(max|u|, max|v|) over the stored cells, each NaN if its array holds one.
+
+        Cells past the active window are exactly zero, so these are the
+        window maxima; NaN propagates through max and |inf| is inf, so both
+        are finite exactly when every cell of u and v is.
+        """
+        return float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v)))
 
     def finite(self) -> bool:
-        return bool(np.isfinite(self.u).all() and np.isfinite(self.v).all())
+        return all(map(math.isfinite, self.amps))
 
 
 @dataclass(frozen=True)
@@ -155,21 +172,25 @@ def _padded(a: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
 
 
 def _cover(state: State, cfg: SimConfig, hi: int) -> State:
-    """state, zero-padded if needed so that it holds cells 0..hi + 1.
+    """state, zero-padded if needed so that it holds cells 0..hi + 1, with g
+    covering its n - 1 interior cells.
 
     The length grows geometrically (x2, capped at nr + 1), so the number of
     regrowths is logarithmic and the length stays within twice the window.
     """
     n = state.u.shape[0]
-    if hi + 2 <= n:
-        return state
-    n = min(cfg.nr + 1, max(2 * n, hi + 2))
-    return replace(
-        state,
-        u=_padded(state.u, n),
-        u_prev=_padded(state.u_prev, n),
-        v=_padded(state.v, n),
-    )
+    if hi + 2 > n:
+        n = min(cfg.nr + 1, max(2 * n, hi + 2))
+        state = replace(
+            state,
+            u=_padded(state.u, n),
+            u_prev=_padded(state.u_prev, n),
+            v=_padded(state.v, n),
+        )
+    if state.g is None or state.g.shape[0] < n - 1:
+        g = kernels.radial_coefficients(cfg.params.N, cfg.h, n - 1)
+        state = replace(state, g=g)
+    return state
 
 
 def build_initial_state(cfg: SimConfig) -> State:
@@ -187,14 +208,8 @@ def propose_dt(state: State, cfg: SimConfig) -> float:
     fraction of that limit.
     """
     p, q = cfg.params.p, cfg.params.q
-    # everything beyond the active window is exactly zero, so the max scans
-    # can stop there (the state may hold up to twice the window)
-    hi = _active_hi(cfg, state.t) + 1
-    amp = (
-        float(np.max(np.abs(state.u[:hi]))) ** (q - 1.0)
-        + float(np.max(np.abs(state.v[:hi]))) ** (p - 1.0)
-        + 1.0
-    )
+    amp_u, amp_v = state.amps
+    amp = amp_u ** (q - 1.0) + amp_v ** (p - 1.0) + 1.0
     dt = min(cfg.cfl * cfg.h / math.sqrt(cfg.params.N), ETA / amp)
     if state.dt_prev > 0:
         dt = min(dt, DT_GROWTH * state.dt_prev)
@@ -223,7 +238,9 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         w = slice(0, hi + 1)
         u0, v0 = state.u[w], state.v[w]
         src = a * np.abs(v0) ** params.p + b * np.abs(u0) ** params.q
-        acc = kernels.radial_laplacian(state.u, cfg.h, params.N, hi)
+        acc = kernels.radial_laplacian(
+            state.u, cfg.h, params.N, hi, state.g, np.empty(hi + 1)
+        )
         acc = acc - params.mu * v0 + src
         if forcing is not None:
             acc = acc + forcing[w]
@@ -232,7 +249,8 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         u1[w] = u0 + dt * v0 + 0.5 * dt * dt * acc
         v1[w] = v0 + dt * acc
         return State(
-            t=t_next, dt_prev=dt, u=u1, u_prev=state.u, v=v1, step=1, h=cfg.h
+            t=t_next, dt_prev=dt, u=u1, u_prev=state.u, v=v1, step=1, h=cfg.h,
+            g=state.g,
         )
 
     u_next, v_next = kernels.advance(
@@ -251,6 +269,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         params.p,
         params.q,
         hi,
+        state.g,
     )
     return State(
         t=t_next,
@@ -260,6 +279,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         v=v_next,
         step=state.step + 1,
         h=cfg.h,
+        g=state.g,
     )
 
 
@@ -289,7 +309,7 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
         rows.append(dict(vars(snap), max_abs_u=amp, dt=dt))
 
     state = build_initial_state(cfg)
-    amp0 = float(np.max(np.abs(state.u)))
+    amp0 = state.amps[0]
     if monitor:
         record(state, amp0, 0.0)
 
@@ -301,13 +321,10 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
             reason = f"dt={dt:.3e} fell below dt_min"
             break
         state = time_step(state, cfg, dt)
-        hi = _active_hi(cfg, state.t) + 1
-        if not (
-            np.isfinite(state.u[:hi]).all() and np.isfinite(state.v[:hi]).all()
-        ):
+        if not state.finite():
             outcome, reason = "unstable", "non-finite values in grid state"
             break
-        amp = float(np.max(np.abs(state.u[:hi])))
+        amp = state.amps[0]
         if monitor and state.step % cfg.monitor_stride == 0:
             record(state, amp, state.dt_prev)
         if amp0 > 0 and amp >= cfg.blowup_threshold * amp0:
@@ -316,7 +333,7 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
             break
 
     if monitor and state.finite() and state.step % cfg.monitor_stride != 0:
-        record(state, float(np.max(np.abs(state.u))), state.dt_prev)
+        record(state, state.amps[0], state.dt_prev)
     return RunResult(
         outcome=outcome,
         t_blowup=t_blow,

@@ -5,6 +5,7 @@ modules that call them. A refactor that moves or renames one of them breaks
 `perfbench/run.py --trace 1`; this test catches that in the test suite.
 """
 
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import blowuplab
+from blowuplab import kernels
 from blowuplab.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -24,6 +26,11 @@ RUN_CONFIG = {
     "nr": 300,
     "t_max": 20.0,
 }
+
+
+def test_advance_takes_i_hi_fifteenth():
+    # the tracer's kernels.cell_updates reads i_hi as args[14] of each call
+    assert list(inspect.signature(kernels.advance).parameters)[14] == "i_hi"
 
 
 def test_install_patches_every_target_and_restore_puts_back():

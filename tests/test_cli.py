@@ -65,6 +65,14 @@ class TestClassify:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["classify", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    def test_non_object_config_exit_2(self, tmp_path, capsys, command):
+        argv = [command, "--config", _write(tmp_path, "five.json", 5)]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 def test_specfun_check(capsys):
     assert main(["specfun-check"]) == 0
@@ -151,6 +159,25 @@ class TestVerify:
             writer.writerows(rows)
         assert main(["verify", str(run_dir)]) == 2
         assert "Gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest, key",
+        [
+            ({}, "config"),
+            ({"config": 5}, "params"),
+            ({"config": {"profile": {"R": 1.0}, "eps": 0.4}}, "params"),
+            ({"config": {"params": RUN_CONFIG["params"], "eps": 0.4}}, "profile"),
+            ({"config": {"params": RUN_CONFIG["params"], "profile": {}, "eps": 0.4}}, "R"),
+            ({"config": {"params": RUN_CONFIG["params"], "profile": {"R": 1.0}}}, "eps"),
+        ],
+    )
+    def test_verify_malformed_manifest_exit_2(self, tmp_path, capsys, manifest, key):
+        run_dir = self._solved(tmp_path, capsys)
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["verify", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+        assert "Traceback" not in err
 
     def test_empty_coercivity_window_is_skipped(self, tmp_path, capsys):
         run_dir = self._solved(tmp_path, capsys)

@@ -1,8 +1,45 @@
-"""The step kernel: support window, boundary cell, leapfrog limit, damping."""
+"""The step kernel: support window, boundary cell, leapfrog limit, damping,
+and bitwise agreement with the expression form it was written from."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from blowuplab import kernels
+
+
+def _reference_laplacian(u, h, dim, hi):
+    """The Laplacian in expression form: a new array for each operation."""
+    lap = np.empty(hi + 1)
+    lap[0] = 2.0 * dim * (u[1] - u[0]) / (h * h)
+    idx = np.arange(1, hi + 1)
+    lap[1:] = (u[2 : hi + 2] - 2.0 * u[1 : hi + 1] + u[0:hi]) / (h * h) + (
+        dim - 1.0
+    ) / (idx * h) * (u[2 : hi + 2] - u[0:hi]) / (2.0 * h)
+    return lap
+
+
+def _reference_advance(u, u_prev, v, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi):
+    """The step in expression form; kernels.advance must match it bit for bit."""
+    n = u.shape[0]
+    c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom = kernels._step_coeffs(
+        t, dt, dt_prev, mu
+    )
+    hi = min(i_hi, n - 2)
+    w = slice(0, hi + 1)
+    rhs = _reference_laplacian(u, h, dim, hi)
+    rhs += a * np.abs(v[w]) ** p + b * np.abs(u[w]) ** q
+    if forcing is not None:
+        rhs += forcing[w]
+    rhs -= (acc_cur + c * vel_cur) * u[w]
+    rhs -= (acc_old + c * vel_old) * u_prev[w]
+    u_new = rhs / denom
+    acc = acc_new * u_new + acc_cur * u[w] + acc_old * u_prev[w]
+    u_next = np.zeros(n)
+    v_next = np.zeros(n)
+    u_next[w] = u_new
+    v_next[w] = (u_new - u[w]) / dt + 0.5 * dt * acc
+    return u_next, v_next
 
 
 def _random_state(n, rng):
@@ -72,3 +109,73 @@ def test_damping_sign():
         u, u_prev, v, forcing, 0.0, dt, dt, h, 1, 2.0, 0.0, 0.0, 2.0, 2.0, 5
     )
     assert np.all(un1[:4] < un0[:4])
+
+
+_step_args = hs.fixed_dictionaries(
+    {
+        "n": hs.integers(4, 400),
+        "i_hi": hs.integers(0, 420),
+        "t": hs.floats(0.0, 50.0),
+        "dt": hs.floats(1e-4, 0.05),
+        "dt_prev": hs.floats(1e-4, 0.05),
+        "h": hs.floats(0.005, 0.2),
+        "dim": hs.integers(1, 4),
+        "mu": hs.floats(0.0, 3.0),
+        "a": hs.sampled_from([0.0, 1.0]),
+        "b": hs.sampled_from([0.0, 1.0]),
+        "p": hs.one_of(hs.just(2.0), hs.floats(1.05, 4.0)),
+        "q": hs.one_of(hs.just(2.0), hs.floats(1.05, 4.0)),
+        "forced": hs.booleans(),
+        "g_extra": hs.one_of(hs.none(), hs.integers(0, 3)),
+        "seed": hs.integers(0, 2**32 - 1),
+    }
+)
+
+
+def _call(fn, d, u, u_prev, v, forcing, *extra):
+    return fn(
+        u, u_prev, v, forcing, d["t"], d["dt"], d["dt_prev"], d["h"], d["dim"],
+        d["mu"], d["a"], d["b"], d["p"], d["q"], d["i_hi"], *extra,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_args)
+def test_advance_matches_expression_form_bitwise(d):
+    n = d["n"]
+    rng = np.random.default_rng(d["seed"])
+    u, u_prev, v, forcing = _random_state(n, rng)
+    if not d["forced"]:
+        forcing = None
+    extra = ()
+    if d["g_extra"] is not None:  # as the solver passes it: n - 1 cells or more
+        extra = (kernels.radial_coefficients(d["dim"], d["h"], n - 1 + d["g_extra"]),)
+    inputs = [x for x in (u, u_prev, v, forcing, *extra) if x is not None]
+    before = [x.copy() for x in inputs]
+
+    un, vn = _call(kernels.advance, d, u, u_prev, v, forcing, *extra)
+    ru, rv = _call(_reference_advance, d, u, u_prev, v, forcing)
+    assert un.tobytes() == ru.tobytes()
+    assert vn.tobytes() == rv.tobytes()
+    for x, y in zip(inputs, before):
+        assert x.tobytes() == y.tobytes()
+    hi = min(d["i_hi"], n - 2)
+    assert np.all(un[hi + 1 :] == 0.0) and np.all(vn[hi + 1 :] == 0.0)
+
+    zero = np.zeros(n)
+    zu, zv = _call(kernels.advance, d, zero, zero, zero, None, *extra)
+    assert not zu.any() and not zv.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=hs.integers(4, 400), hi=hs.integers(0, 398), dim=hs.integers(1, 4),
+       h=hs.floats(0.005, 0.2), seed=hs.integers(0, 2**32 - 1))
+def test_radial_laplacian_writes_only_its_cells(n, hi, dim, h, seed):
+    hi = min(hi, n - 2)
+    u = np.random.default_rng(seed).standard_normal(n)
+    out = np.full(n, 7.0)
+    g = kernels.radial_coefficients(dim, h, n - 1)
+    lap = kernels.radial_laplacian(u, h, dim, hi, g, out)
+    assert np.shares_memory(lap, out) and lap.shape == (hi + 1,)
+    assert lap.tobytes() == _reference_laplacian(u, h, dim, hi).tobytes()
+    assert np.all(out[hi + 1 :] == 7.0)

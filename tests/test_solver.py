@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from blowuplab import solver
+from blowuplab import kernels, solver
 from blowuplab.errors import ConfigError, NoBlowUpObservedError
 from blowuplab.exponents import ModelParams
 from blowuplab.functionals import MONITOR_COLUMNS
@@ -276,6 +276,35 @@ class TestRun:
             np.testing.assert_array_equal(
                 getattr(res.monitors, name), getattr(own.monitors, name)
             )
+
+
+    @pytest.mark.parametrize("field", ["u", "v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_is_unstable(self, monkeypatch, field, bad):
+        # the real run loop, fed one poisoned kernel step inside the window
+        params = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=1, b=0)
+        cfg = SimConfig(params=params, eps=0.4, L=12.0, nr=300, t_max=10.0)
+        k = 7  # the step whose state the kernel poisons
+        advance = kernels.advance
+
+        def poisoned(*args, **kwargs):
+            u_next, v_next = advance(*args, **kwargs)
+            # the first kernel call makes step 2 (step 1 is the Taylor start)
+            if poisoned.calls == k - 2:
+                target = u_next if field == "u" else v_next
+                target[args[14] // 2] = bad
+            poisoned.calls += 1
+            return u_next, v_next
+
+        poisoned.calls = 0
+        monkeypatch.setattr(kernels, "advance", poisoned)
+        res = run(cfg)
+        assert res.outcome == "unstable"
+        assert res.reason == "non-finite values in grid state"
+        assert res.steps == k
+        assert res.t_blowup is None
+        for name in MONITOR_COLUMNS:
+            assert np.isfinite(getattr(res.monitors, name)).all(), name
 
 
 class TestMeasureLifespan:
