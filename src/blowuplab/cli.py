@@ -198,12 +198,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = runio.load_json(args.config)
+    eps_list = runio.eps_list_from_dict(doc)
     base = runio.sim_config_from_dict(doc.get("base") or doc)
-    eps_list = doc.get("eps_list")
-    if not eps_list:
-        raise ConfigError("missing key 'eps_list' in sweep config")
-    refine = args.refine if args.refine is not None else int(doc.get("refine", 2))
-    tau = args.tau if args.tau is not None else float(doc.get("tau", DEFAULT_TAU))
+    try:
+        refine = args.refine if args.refine is not None else int(doc.get("refine", 2))
+        tau = args.tau if args.tau is not None else float(doc.get("tau", DEFAULT_TAU))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid sweep config: {exc}") from exc
 
     result = sweep(base, eps_list, refine=refine, jobs=args.jobs)
     fit_payload: dict = {"bound": {"kind": result.bound.kind, "exponent": result.bound.exponent}}
@@ -232,7 +233,7 @@ def _cmd_sweep(args) -> int:
 
     sweep_cfg = {
         "base": runio.sim_config_to_dict(base),
-        "eps_list": [float(e) for e in eps_list],
+        "eps_list": eps_list,
         "refine": refine,
         "tau": tau,
     }

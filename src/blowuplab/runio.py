@@ -67,14 +67,13 @@ def params_to_dict(p: ModelParams) -> dict:
 def sim_config_from_dict(d: dict) -> SimConfig:
     params = params_from_dict(_require(d, "params", "run config"))
     prof = d.get("profile", {})
-    profile = InitialProfile(
-        shape=prof.get("shape", "bump"), R=float(prof.get("R", 1.0))
-    )
+    if not isinstance(prof, dict):
+        raise ConfigError(f"profile must be an object in run config, got {prof!r}")
     try:
         return SimConfig(
             params=params,
             eps=float(_require(d, "eps", "run config")),
-            profile=profile,
+            profile=InitialProfile(shape=prof.get("shape", "bump"), R=float(prof.get("R", 1.0))),
             L=float(_require(d, "L", "run config")),
             nr=int(_require(d, "nr", "run config")),
             cfl=float(d.get("cfl", 0.9)),
@@ -102,6 +101,17 @@ def sim_config_to_dict(cfg: SimConfig) -> dict:
         "dt_min": cfg.dt_min,
         "monitor_stride": cfg.monitor_stride,
     }
+
+
+def eps_list_from_dict(d: dict) -> list[float]:
+    """A sweep config's eps_list: a non-empty list of numbers, as floats."""
+    eps_list = _require(d, "eps_list", "sweep config")
+    if not isinstance(eps_list, list) or not eps_list:
+        raise ConfigError(f"eps_list must be a non-empty list in sweep config, got {eps_list!r}")
+    try:
+        return [float(e) for e in eps_list]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid eps_list: {exc}") from exc
 
 
 def load_json(path) -> dict:

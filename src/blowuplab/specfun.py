@@ -8,13 +8,20 @@ and the separable test function psi(r, t) = rho(t) * phi(r).
 Everything is evaluated in scaled/log form internally so that the e^{+-t}
 factors never overflow double precision; plain-valued accessors exponentiate
 at the end and log-valued accessors are exposed for the monitor layer.
+
+The K_nu quadrature doubles its panels until two levels agree. It evaluates
+the doubling levels in batches, one numpy pass per batch, with each level's
+panel edges being np.linspace written out; its results are bitwise those of
+evaluating one level at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,37 +89,100 @@ def _zeta_max(nu: float, t: float, cfg: BesselEvalConfig) -> float:
     return math.acosh(1.0 + decay / t)
 
 
-def _kv_scaled(nu: float, t: float, cfg: BesselEvalConfig) -> float:
-    """Scaled integral I(nu, t) = e^t K_nu(t), by panel-doubled Gauss-Legendre."""
-    zmax = _zeta_max(nu, t, cfg)
+class _PanelLevels(NamedTuple):
+    """Panel counts 2**k0 ... 2**(k0+count-1) laid end to end (read-only)."""
+
+    index: np.ndarray  # each level's edge indices 0..P
+    per_edge: np.ndarray  # the P of the level each edge belongs to
+    left: np.ndarray  # each panel's left edge position
+    right: np.ndarray  # each panel's right edge position
+    levels: tuple[slice, ...]  # each level's nodes, by their offsets
+
+    def edges(self, zmax: float) -> np.ndarray:
+        # np.linspace(0, zmax, P + 1) written out: arange * (delta / div).
+        # linspace then sets the endpoint to zmax; P is a power of two, so
+        # P * (zmax / P) is zmax already.
+        return self.index * (zmax / self.per_edge)
+
+
+@functools.cache
+def _panel_levels(k0: int, count: int) -> _PanelLevels:
+    """The layout of levels k0 ... k0+count-1, built on first use."""
+    panels = [1 << k for k in range(k0, k0 + count)]
+    starts = np.cumsum([0] + [P + 1 for P in panels])
+    right = np.concatenate([s + np.arange(1, P + 1) for s, P in zip(starts, panels)])
+    offsets = [_PANEL_NODES * n for n in itertools.accumulate(panels, initial=0)]
+    layout = _PanelLevels(
+        index=np.concatenate([np.arange(P + 1, dtype=float) for P in panels]),
+        per_edge=np.repeat(np.array(panels, dtype=float), [P + 1 for P in panels]),
+        left=right - 1,
+        right=right,
+        levels=tuple(map(slice, offsets[:-1], offsets[1:])),
+    )
+    for arr in layout[:-1]:
+        arr.flags.writeable = False
+    return layout
+
+
+def _level_estimates(nu: float, t: float, zmax: float, k0: int, count: int) -> list[float]:
+    """Panel-rule estimates of I(nu, t) at 2**k0 ... 2**(k0+count-1) panels.
+
+    All levels share one pass over their nodes. Each level's edges are its
+    np.linspace written out, and every elementwise step and each level's dot
+    product are those of evaluating that level alone, so the estimates are
+    bitwise those of evaluating the levels one by one.
+    """
+    lay = _panel_levels(k0, count)
     base_x, base_w = _gauss_legendre(_PANEL_NODES)
+    edges = lay.edges(zmax)
+    hi = edges[lay.right]
+    lo = edges[lay.left]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    z = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
+    w = (half[:, None] * base_w[None, :]).ravel()
+    vals = np.exp(-t * (np.cosh(z) - 1.0)) * np.cosh(nu * z)
+    return [float(np.dot(w[lv], vals[lv])) for lv in lay.levels]
 
-    def estimate(panels: int) -> float:
-        edges = np.linspace(0.0, zmax, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        z = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-        w = (half[:, None] * base_w[None, :]).ravel()
-        vals = np.exp(-t * (np.cosh(z) - 1.0)) * np.cosh(nu * z)
-        return float(np.dot(w, vals))
 
-    panels = 1
-    prev = estimate(panels)
+# Doubling levels evaluated together in one pass of _level_estimates.
+_BATCH_LEVELS = 4
+
+
+def _kv_scaled(nu: float, t: float, cfg: BesselEvalConfig) -> float:
+    """Scaled integral I(nu, t) = e^t K_nu(t), by panel-doubled Gauss-Legendre.
+
+    Level k splits [0, zmax] into 2**k panels of _PANEL_NODES nodes each.
+    Level k is accepted once it agrees with level k-1 to cfg.tol, and then
+    level k+1 is returned if it fits the node budget. The levels are
+    evaluated _BATCH_LEVELS at a time (never past the budget, except that
+    the 2-panel level is always evaluated), and the result is bitwise that
+    of doubling one level at a time.
+    """
+    zmax = _zeta_max(nu, t, cfg)
+    # deepest level the node budget admits
+    top = max(1, int(cfg.max_nodes // _PANEL_NODES).bit_length() - 1)
+    est: list[float] = []
+
+    def level(k: int) -> float:
+        while k >= len(est):
+            k0 = len(est)
+            est.extend(_level_estimates(nu, t, zmax, k0, min(_BATCH_LEVELS, top + 1 - k0)))
+        return est[k]
+
+    k = 1
     while True:
-        panels *= 2
-        cur = estimate(panels)
-        if abs(cur - prev) <= cfg.tol * max(1.0, abs(cur)):
+        cur = level(k)
+        if abs(cur - level(k - 1)) <= cfg.tol * max(1.0, abs(cur)):
             # One extra doubling drives the error far below the stopping
             # tolerance so downstream finite differences see a smooth map.
-            if panels * 2 * _PANEL_NODES <= cfg.max_nodes:
-                cur = estimate(panels * 2)
-            return cur
-        if panels * 2 * _PANEL_NODES > cfg.max_nodes:
+            return level(k + 1) if k < top else cur
+        if k == top:
             raise AccuracyError(
                 f"K_nu quadrature did not reach tol={cfg.tol} within "
                 f"{cfg.max_nodes} nodes (nu={nu}, t={t})"
             )
-        prev = cur
+        k += 1
 
 
 def bessel_k(nu: float, t: float, cfg: BesselEvalConfig | None = None) -> float:

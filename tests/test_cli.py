@@ -237,6 +237,27 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("solve", dict(RUN_CONFIG, profile=5)),
+        ("solve", dict(RUN_CONFIG, profile={"R": "x"})),
+        ("sweep", 5),
+        ("sweep", dict(SWEEP_CONFIG, eps_list=[1, "x", 0.5])),
+        ("sweep", dict(SWEEP_CONFIG, eps_list=5)),
+        ("sweep", dict(SWEEP_CONFIG, refine="x")),
+        ("sweep", dict(SWEEP_CONFIG, base=dict(RUN_CONFIG, profile=[1.0]))),
+    ],
+)
+def test_malformed_config_exit_2(tmp_path, capsys, command, doc):
+    cfg = _write(tmp_path, "bad.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_report_merges_runs(tmp_path, capsys):
     out = tmp_path / "results"
     main(["solve", "--config", _write(tmp_path, "a.json", RUN_CONFIG), "--out", str(out)])

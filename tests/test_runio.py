@@ -1,7 +1,9 @@
-"""monitors.csv: the monitor schema written and read back."""
+"""Run configs and monitors.csv: written, read back and hashed."""
 
 import csv
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +13,15 @@ from hypothesis import strategies as hs
 from blowuplab.errors import ConfigError
 from blowuplab.exponents import ModelParams
 from blowuplab.functionals import MONITOR_COLUMNS, MonitorSeries
-from blowuplab.runio import CSV_COLUMNS, read_series_csv, write_series_csv
+from blowuplab.runio import (
+    CSV_COLUMNS,
+    config_hash,
+    read_series_csv,
+    sim_config_from_dict,
+    sim_config_to_dict,
+    write_series_csv,
+)
+from blowuplab.solver import InitialProfile, SimConfig
 
 PARAMS = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=1, b=0)
 
@@ -68,3 +78,67 @@ def test_missing_column_raises_config_error(tmp_path, dropped):
         writer.writerow(["1.0"] * len(names))
     with pytest.raises(ConfigError, match=rf"column\(s\) {dropped}$"):
         read_series_csv(path)
+
+
+_POSITIVE = hs.floats(1e-6, 1e6, allow_subnormal=False)
+
+
+@hs.composite
+def _sim_configs(draw):
+    N = draw(hs.integers(1, 5))
+    q_max = 2 * N / (N - 2) if N >= 3 else 10.0
+    params = ModelParams(
+        N=N,
+        mu=draw(hs.floats(0.0, 10.0)),
+        p=draw(hs.floats(1.0, 10.0, exclude_min=True)),
+        q=draw(hs.floats(1.0, q_max, exclude_min=True)),
+        a=draw(hs.integers(0, 1)),
+        b=draw(hs.integers(0, 1)),
+    )
+    profile = InitialProfile(R=draw(_POSITIVE))
+    t_max = draw(_POSITIVE)
+    return SimConfig(
+        params=params,
+        eps=draw(hs.floats(0.0, 1e3)),
+        profile=profile,
+        L=t_max + profile.R + draw(hs.floats(0.0, 1e3)),
+        nr=draw(hs.integers(64, 1 << 24)),
+        cfl=draw(hs.floats(0.0, 1.0, exclude_min=True)),
+        t_max=t_max,
+        blowup_threshold=draw(_POSITIVE),
+        dt_min=draw(_POSITIVE),
+        monitor_stride=draw(hs.integers(1, 1000)),
+    )
+
+
+def _shuffled(obj, rng):
+    if not isinstance(obj, dict):
+        return obj
+    keys = list(obj)
+    rng.shuffle(keys)
+    return {k: _shuffled(obj[k], rng) for k in keys}
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, obj
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    return {**obj, path[0]: _replaced(obj[path[0]], path[1:], value)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sim_configs(), hs.integers(0, 2**32 - 1))
+def test_run_config_round_trip_and_hash(cfg, seed):
+    d = sim_config_to_dict(cfg)
+    assert sim_config_from_dict(json.loads(json.dumps(d))) == cfg
+    assert config_hash(_shuffled(d, random.Random(seed))) == config_hash(d)
+    for path, leaf in _leaves(d):
+        other = leaf + "x" if isinstance(leaf, str) else 2 * leaf + 1
+        assert config_hash(_replaced(d, path, other)) != config_hash(d), path

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 
 from blowuplab import specfun
@@ -263,3 +265,109 @@ class TestGaussLegendre:
             nodes[0] = 0.0
         with pytest.raises(ValueError):
             weights[0] = 0.0
+
+
+def _kv_scaled_per_level(nu, t, cfg):
+    """The K_nu quadrature doubling one level at a time: the reference."""
+    zmax = specfun._zeta_max(nu, t, cfg)
+    base_x, base_w = specfun._gauss_legendre(specfun._PANEL_NODES)
+
+    def estimate(panels):
+        edges = np.linspace(0.0, zmax, panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        z = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
+        w = (half[:, None] * base_w[None, :]).ravel()
+        vals = np.exp(-t * (np.cosh(z) - 1.0)) * np.cosh(nu * z)
+        return float(np.dot(w, vals))
+
+    panels = 1
+    prev = estimate(panels)
+    while True:
+        panels *= 2
+        cur = estimate(panels)
+        if abs(cur - prev) <= cfg.tol * max(1.0, abs(cur)):
+            if panels * 2 * specfun._PANEL_NODES <= cfg.max_nodes:
+                cur = estimate(panels * 2)
+            return cur
+        if panels * 2 * specfun._PANEL_NODES > cfg.max_nodes:
+            raise AccuracyError("node budget")
+        prev = cur
+
+
+def _outcome(f, *args):
+    try:
+        with np.errstate(all="ignore"):
+            return np.float64(f(*args)).view(np.uint64)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+
+
+class TestBatchedQuadrature:
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The (k0, count) of every batch of levels evaluated."""
+        seen = []
+        level_estimates = specfun._level_estimates
+
+        def record(nu, t, zmax, k0, count):
+            seen.append((k0, count))
+            return level_estimates(nu, t, zmax, k0, count)
+
+        monkeypatch.setattr(specfun, "_level_estimates", record)
+        return seen
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        nu=hs.floats(-3.0, 6.0),
+        log_t=hs.floats(-3.0, 3.0),
+        tol=hs.sampled_from([1e-6, 1e-12, 1e-15, 1e-18]),
+        max_nodes=hs.sampled_from([16, 20, 32, 48, 64, 256, 1 << 17]),
+    )
+    def test_bitwise_equal_to_per_level_doubling(self, nu, log_t, tol, max_nodes):
+        t = 10.0**log_t
+        cfg = BesselEvalConfig(tol=tol, max_nodes=max_nodes)
+        assert _outcome(specfun._kv_scaled, nu, t, cfg) == _outcome(
+            _kv_scaled_per_level, nu, t, cfg
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        zmax=hs.floats(1e-8, 1e3),
+        k0=hs.integers(0, 10),
+        count=hs.integers(1, specfun._BATCH_LEVELS),
+    )
+    def test_edges_are_linspace(self, zmax, k0, count):
+        lay = specfun._panel_levels(k0, count)
+        refs = np.concatenate([np.linspace(0.0, zmax, (1 << k) + 1) for k in range(k0, k0 + count)])
+        assert np.array_equal(lay.edges(zmax).view(np.uint64), refs.view(np.uint64))
+
+    @pytest.mark.parametrize("k0, count", [(0, 4), (4, 4), (8, 2)])
+    def test_layout_is_read_only(self, k0, count):
+        lay = specfun._panel_levels(k0, count)
+        assert specfun._panel_levels(k0, count) is lay
+        for arr in lay[:-1]:
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert lay.levels[-1].stop == specfun._PANEL_NODES * lay.left.size
+
+    @pytest.mark.parametrize("max_nodes", [16, 20, 32, 48, 64, 256, 1 << 17])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-18])
+    def test_batches_stay_within_budget(self, batches, max_nodes, tol):
+        try:
+            specfun._kv_scaled(2.0, 0.1, BesselEvalConfig(tol=tol, max_nodes=max_nodes))
+        except AccuracyError:
+            pass
+        deepest = max(k0 + count - 1 for k0, count in batches)
+        # the 2-panel level is evaluated even when the budget is below 32 nodes
+        assert (1 << deepest) * specfun._PANEL_NODES <= max(max_nodes, 32)
+        assert all(count <= specfun._BATCH_LEVELS for _, count in batches)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 100.0])
+    def test_monitor_calls_take_one_batch(self, batches, mu, t):
+        # rho's quadratures converge at 4 panels and return the 8-panel level
+        ctx = TestFunctionContext(N=3, mu=mu)
+        log_rho(ctx, t)
+        rho_log_derivative(ctx, t)
+        assert batches == [(0, specfun._BATCH_LEVELS)] * 3
