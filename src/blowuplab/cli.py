@@ -201,7 +201,9 @@ def _cmd_sweep(args) -> int:
     eps_list = runio.eps_list_from_dict(doc)
     base = runio.sim_config_from_dict(doc.get("base") or doc)
     try:
-        refine = args.refine if args.refine is not None else int(doc.get("refine", 2))
+        refine = args.refine
+        if refine is None:
+            refine = runio.integer(doc.get("refine", 2), "refine")
         tau = args.tau if args.tau is not None else float(doc.get("tau", DEFAULT_TAU))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sweep config: {exc}") from exc

@@ -75,11 +75,11 @@ def advance(
     """One step of the scheme; returns (u_next, v_next), as long as u.
 
     Cells with index > i_hi are outside the active support window and stay
-    exactly zero; the last cell of the arrays is never updated, so at the
-    full grid length it is the homogeneous Dirichlet boundary. `forcing` is
-    None for the unforced equation; g is radial_coefficients(dim, h, k) for
-    some k >= min(i_hi, n - 2), built here when absent. The inputs are only
-    read.
+    exactly zero; the last cell of the arrays is never updated, so in a
+    forced run, whose arrays span the whole grid, it is the homogeneous
+    Dirichlet boundary. `forcing` is None for the unforced equation; g is
+    radial_coefficients(dim, h, k) for some k >= min(i_hi, n - 2), built
+    here when absent. The inputs are only read.
     """
     n = u.shape[0]
     c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom = _step_coeffs(

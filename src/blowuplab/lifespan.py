@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,15 +55,6 @@ class Verdict:
     tau: float
 
 
-def _scaled_config(base: SimConfig, eps: float, t_max: float) -> SimConfig:
-    # Keep h fixed while growing the domain with the horizon so the support
-    # cone never reaches the outer boundary.
-    h = base.h
-    L = max(base.L, t_max + base.profile.R + 1.0)
-    nr = max(base.nr, int(math.ceil(L / h)))
-    return replace(base, eps=eps, t_max=t_max, L=nr * h, nr=nr)
-
-
 def _measure_row(args) -> SweepRow:
     cfg, refine = args
     try:
@@ -81,7 +71,8 @@ def sweep(
 
     The largest-epsilon run calibrates the constant in T ~ C eps^{-k}
     (k from the theoretical bound); the horizon for smaller epsilons is
-    grown to at least 3x the predicted lifespan.
+    grown to at least 3x the predicted lifespan. Only eps and t_max change
+    from row to row, so every row's level l runs at h = base.h / 2**l.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
@@ -106,9 +97,12 @@ def sweep(
     tail_args = []
     for e in eps_list[1:]:
         t_max = max(base.t_max, 3.0 * t_pred(e))
-        tail_args.append((_scaled_config(base, e, t_max), refine))
+        tail_args.append((replace(base, eps=e, t_max=t_max), refine))
 
     if jobs > 1 and tail_args:
+        # imported here: the serial path should not pay for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows.extend(pool.map(_measure_row, tail_args))
     else:

@@ -42,17 +42,34 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def integer(value, name: str) -> int:
+    """value as an int; a number with a fractional part is rejected, not truncated."""
+    try:
+        as_int = int(value)
+        if as_int == value or as_int == float(value):
+            return as_int
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def params_from_dict(d: dict) -> ModelParams:
     for key in ("N", "mu", "p", "q"):
         _require(d, key, "params")
     try:
         return ModelParams(
-            N=int(d["N"]),
+            N=integer(d["N"], "N"),
             mu=float(d["mu"]),
             p=float(d["p"]),
             q=float(d["q"]),
-            a=int(d.get("a", 1)),
-            b=int(d.get("b", 1)),
+            a=integer(d.get("a", 1), "a"),
+            b=integer(d.get("b", 1), "b"),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -66,21 +83,19 @@ def params_to_dict(p: ModelParams) -> dict:
 
 def sim_config_from_dict(d: dict) -> SimConfig:
     params = params_from_dict(_require(d, "params", "run config"))
-    prof = d.get("profile", {})
-    if not isinstance(prof, dict):
-        raise ConfigError(f"profile must be an object in run config, got {prof!r}")
+    prof = _object(d.get("profile", {}), "profile in run config")
     try:
         return SimConfig(
             params=params,
             eps=float(_require(d, "eps", "run config")),
             profile=InitialProfile(shape=prof.get("shape", "bump"), R=float(prof.get("R", 1.0))),
             L=float(_require(d, "L", "run config")),
-            nr=int(_require(d, "nr", "run config")),
+            nr=integer(_require(d, "nr", "run config"), "nr"),
             cfl=float(d.get("cfl", 0.9)),
             t_max=float(_require(d, "t_max", "run config")),
             blowup_threshold=float(d.get("blowup_threshold", 1e6)),
             dt_min=float(d.get("dt_min", 1e-10)),
-            monitor_stride=int(d.get("monitor_stride", 10)),
+            monitor_stride=integer(d.get("monitor_stride", 10), "monitor_stride"),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -200,10 +215,9 @@ def merge_manifests(out_root: Path, dest: Path) -> int:
     """Merge run manifests under out_root into one summary CSV; returns count."""
     rows = []
     for manifest_path in sorted(Path(out_root).glob("*/manifest.json")):
-        with open(manifest_path) as fh:
-            m = json.load(fh)
-        cfg = m.get("config", {})
-        par = cfg.get("params", {})
+        m = _object(load_json(manifest_path), f"manifest {manifest_path}")
+        cfg = _object(m.get("config", {}), f"config in {manifest_path}")
+        par = _object(cfg.get("params", {}), f"params in {manifest_path}")
         rows.append(
             [
                 m.get("config_hash", manifest_path.parent.name),

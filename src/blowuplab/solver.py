@@ -53,9 +53,10 @@ class InitialProfile:
 class SimConfig:
     """One radial Cauchy problem: model, data size, grid and run policy.
 
-    The grid has nr + 1 cells on [0, L]. A run's state holds only the part
-    the solution's support r <= t + R has reached, so nr fixes h = L / nr and
-    caps the state's length; it is not what a step costs.
+    L and nr fix the grid spacing h = L / nr. An unforced run's state holds
+    the cells its support r <= t + R has reached, however far past L, so its
+    cost follows h and t + R alone. A forced run (the `forcing` hook) holds
+    all nr + 1 cells of [0, L], the last one a Dirichlet boundary.
     """
 
     params: ModelParams
@@ -84,11 +85,6 @@ class SimConfig:
             raise ConfigError(f"t_max must be positive, got {self.t_max}")
         if self.monitor_stride < 1:
             raise ConfigError(f"monitor_stride must be >= 1, got {self.monitor_stride}")
-        if self.forcing is None and self.L < self.t_max + self.profile.R:
-            raise ConfigError(
-                f"L={self.L} must cover the support cone: need L >= t_max + R = "
-                f"{self.t_max + self.profile.R}"
-            )
 
     @property
     def h(self) -> float:
@@ -101,7 +97,8 @@ class State:
 
     u, u_prev and v share one length n and hold the first n cells of the
     radial grid; every cell past n is zero. The solver keeps n between the
-    active window plus its stencil cell and the full grid (nr + 1 cells).
+    active window plus its stencil cell and twice that; a forced run's
+    window is the whole grid.
     g, when set, holds kernels.radial_coefficients for cells 1..n - 1 or more.
 
     A state's arrays are never modified after construction: each step and
@@ -160,7 +157,7 @@ def _active_hi(cfg: SimConfig, t: float) -> int:
     # so cells beyond a small stencil margin are pinned to exact zero.
     if cfg.forcing is not None:
         return cfg.nr - 1
-    return min(cfg.nr - 1, int((t + cfg.profile.R) / cfg.h) + 3)
+    return int((t + cfg.profile.R) / cfg.h) + 3
 
 
 def _padded(a: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
@@ -175,12 +172,13 @@ def _cover(state: State, cfg: SimConfig, hi: int) -> State:
     """state, zero-padded if needed so that it holds cells 0..hi + 1, with g
     covering its n - 1 interior cells.
 
-    The length grows geometrically (x2, capped at nr + 1), so the number of
-    regrowths is logarithmic and the length stays within twice the window.
+    The length grows geometrically (x2), so the number of regrowths is
+    logarithmic and the length stays within twice the window. A forced run
+    starts at the full grid and never grows.
     """
     n = state.u.shape[0]
     if hi + 2 > n:
-        n = min(cfg.nr + 1, max(2 * n, hi + 2))
+        n = max(2 * n, hi + 2)
         state = replace(
             state,
             u=_padded(state.u, n),
@@ -203,9 +201,11 @@ def build_initial_state(cfg: SimConfig) -> State:
 def propose_dt(state: State, cfg: SimConfig) -> float:
     """CFL step shrunk by the amplitude of the nonlinear sources.
 
-    The stability limit is h/sqrt(N), not h: the regularized origin row of
-    the radial Laplacian has Gershgorin radius 4N/h^2, so cfl is taken as a
-    fraction of that limit.
+    The stability limit is taken as h/sqrt(N), not h: the regularized origin
+    row of the radial Laplacian has Gershgorin radius 4N/h^2, and cfl is a
+    fraction of the limit that radius gives. 4N/h^2 is a bound, not the
+    spectral radius, which is 4/h^2 for N = 1 and about 4.842/h^2 and
+    6.000/h^2 for N = 2 and 3, so for N >= 2 the limit is conservative.
     """
     p, q = cfg.params.p, cfg.params.q
     amp_u, amp_v = state.amps

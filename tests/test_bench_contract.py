@@ -79,3 +79,23 @@ def test_traced_solve_records_every_layer(tmp_path):
     assert m["specfun.log_rho.calls"] == snapshots + m["functionals.lemma31_ratio.calls"]
     assert m["specfun.log_phi.points"] > 0
     assert m["runio.bytes_written"] > 0
+
+
+def test_traced_sweep_records_rows_runs_and_row_nr(tmp_path):
+    # perfbench traces the sweep workloads too; lifespan.max_nr reads the nr
+    # of each row's config, which a sweep hands over from its base unchanged
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"base": RUN_CONFIG, "eps_list": [2.4, 1.8, 1.2], "refine": 2}))
+    tracer = Tracer("t")
+    install(tracer, blowuplab)
+    try:
+        with tracer.span("cli.sweep"):
+            argv = ["--quiet", "sweep", "--config", str(cfg), "--out", str(tmp_path / "r")]
+            assert main(argv + ["--jobs", "1"]) == 0
+    finally:
+        tracer.restore()
+    m = layer_metrics(tracer)
+    assert m["lifespan.rows"] == 3
+    assert m["lifespan.blowup_fraction"] == 1.0
+    assert m["solver.runs"] == 6  # two refinement levels per row
+    assert m["lifespan.max_nr"] == RUN_CONFIG["nr"]

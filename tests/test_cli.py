@@ -115,7 +115,7 @@ class TestSolve:
         assert len(list(out.iterdir())) == 2
 
     def test_bad_config_exit_2(self, tmp_path):
-        bad = dict(RUN_CONFIG, L=2.0)  # cone not covered
+        bad = dict(RUN_CONFIG, nr=10)  # below the 64-cell minimum
         cfg = _write(tmp_path, "bad.json", bad)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
 
@@ -247,11 +247,20 @@ class TestSweep:
         ("sweep", dict(SWEEP_CONFIG, eps_list=5)),
         ("sweep", dict(SWEEP_CONFIG, refine="x")),
         ("sweep", dict(SWEEP_CONFIG, base=dict(RUN_CONFIG, profile=[1.0]))),
+        # non-integral integer fields are rejected, not truncated
+        ("classify", {"N": 2.7, "mu": 0.5, "p": 2.0, "q": 2.0, "a": 0.9, "b": 1}),
+        ("classify", {"N": 2, "mu": 0.5, "p": 2.0, "q": 2.0, "a": 0.9, "b": 1}),
+        ("classify", {"N": 2, "mu": 0.5, "p": 2.0, "q": 2.0, "a": 1, "b": 0.5}),
+        ("solve", dict(RUN_CONFIG, nr=600.5)),
+        ("solve", dict(RUN_CONFIG, monitor_stride=2.5)),
+        ("sweep", dict(SWEEP_CONFIG, refine=1.5)),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):
-    cfg = _write(tmp_path, "bad.json", doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    argv = [command, "--config", _write(tmp_path, "bad.json", doc)]
+    if command != "classify":
+        argv += ["--out", str(tmp_path / "r")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert "Traceback" not in err
@@ -266,3 +275,14 @@ def test_report_merges_runs(tmp_path, capsys):
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0].startswith("hash,N,mu,p,q,a,b,eps,nr,outcome")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("text", ["5", "{", '{"config": 5}', '{"config": {"params": []}}'])
+def test_report_malformed_manifest_exit_2(tmp_path, capsys, text):
+    run_dir = tmp_path / "results" / "0123456789abcdef"
+    run_dir.mkdir(parents=True)
+    (run_dir / "manifest.json").write_text(text)
+    assert main(["report", "--out", str(tmp_path / "results")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(run_dir / "manifest.json") in err
+    assert "Traceback" not in err

@@ -1,10 +1,16 @@
 """Sweep orchestration, scaling-law fits, and theory verdicts."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
+from blowuplab import solver
 from blowuplab.errors import (
     ConfigError,
     InsufficientDataError,
@@ -142,12 +148,51 @@ class TestSweep:
         assert row.outcome == "blowup"
         assert row.T_est > BASE.t_max
 
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        L=hs.floats(1.0, 500.0),
+        nr=hs.integers(64, 5000),
+        eps=hs.lists(hs.floats(0.01, 2.0), min_size=3, max_size=5, unique=True),
+        refine=hs.sampled_from([1, 2, 3]),
+    )
+    def test_h_is_fixed_along_the_ladder(self, fake_runs, monkeypatch, L, nr, eps, refine):
+        # every run of row i, level l is at base.h / 2**l exactly, however far
+        # the row's horizon is grown past L
+        base = SimConfig(params=PARAMS, eps=0.4, L=L, nr=nr, t_max=10.0)
+        eps_list = sorted(eps, reverse=True)
+        fake_runs()
+        fake, seen = solver.run, []
+
+        def recorded(cfg, monitor=True):
+            seen.append(cfg)
+            return fake(cfg, monitor)
+
+        monkeypatch.setattr(solver, "run", recorded)
+        sweep(base, eps_list, refine=refine)
+        assert [cfg.eps for cfg in seen] == [e for e in eps_list for _ in range(refine)]
+        for i, cfg in enumerate(seen):
+            assert cfg.h == base.h / 2 ** (i % refine), (cfg.eps, i % refine)
+
     def test_parallel_matches_serial(self):
         serial = sweep(BASE, [0.4, 0.3, 0.2], refine=1, jobs=1)
         parallel = sweep(BASE, [0.4, 0.3, 0.2], refine=1, jobs=3)
         for a, b in zip(serial.rows, parallel.rows):
             assert (a.eps, a.T_est, a.outcome) == (b.eps, b.T_est, b.outcome)
             assert np.isnan(a.uncertainty) == np.isnan(b.uncertainty)
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # --jobs 1 never needs multiprocessing; only jobs > 1 imports it
+    code = "import sys, blowuplab.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestOutcomes:

@@ -80,6 +80,32 @@ def test_missing_column_raises_config_error(tmp_path, dropped):
         read_series_csv(path)
 
 
+RUN_DOC = {
+    "params": {"N": 1, "mu": 0.5, "p": 2.0, "q": 2.0, "a": 1, "b": 0},
+    "eps": 0.4,
+    "L": 12.0,
+    "nr": 200,
+    "t_max": 10.0,
+}
+
+
+@pytest.mark.parametrize("field", ["N", "a", "b", "nr", "monitor_stride"])
+@pytest.mark.parametrize("value", [0.5, 1.5, 200.25, math.inf, math.nan])
+def test_non_integral_integer_field_is_named_not_truncated(field, value):
+    doc = json.loads(json.dumps(RUN_DOC))
+    (doc["params"] if field in doc["params"] else doc)[field] = value
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got "):
+        sim_config_from_dict(doc)
+
+
+def test_integral_floats_are_read_as_ints():
+    params = dict(RUN_DOC["params"], N=3.0, a=1.0, b=0.0)
+    cfg = sim_config_from_dict(dict(RUN_DOC, params=params, nr=200.0, monitor_stride=5.0))
+    fields = (cfg.params.N, cfg.params.a, cfg.params.b, cfg.nr, cfg.monitor_stride)
+    assert fields == (3, 1, 0, 200, 5)
+    assert all(type(x) is int for x in fields)
+
+
 _POSITIVE = hs.floats(1e-6, 1e6, allow_subnormal=False)
 
 
@@ -101,7 +127,7 @@ def _sim_configs(draw):
         params=params,
         eps=draw(hs.floats(0.0, 1e3)),
         profile=profile,
-        L=t_max + profile.R + draw(hs.floats(0.0, 1e3)),
+        L=draw(_POSITIVE),
         nr=draw(hs.integers(64, 1 << 24)),
         cfl=draw(hs.floats(0.0, 1.0, exclude_min=True)),
         t_max=t_max,
