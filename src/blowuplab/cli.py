@@ -156,8 +156,8 @@ def _cmd_verify(args) -> int:
     config = runio._require(manifest, "config", "manifest")
     params = runio.params_from_dict(runio._require(config, "params", "manifest config"))
     profile = runio._require(config, "profile", "manifest config")
-    R = runio._require(profile, "R", "manifest profile")
-    eps = runio._require(config, "eps", "manifest config")
+    R = runio.number(runio._require(profile, "R", "manifest profile"), "manifest profile.R")
+    eps = runio.number(runio._require(config, "eps", "manifest config"), "manifest eps")
     series = runio.read_series_csv(run_dir / "monitors.csv")
     ctx = specfun.TestFunctionContext(N=params.N, mu=params.mu, R=R)
 

@@ -8,6 +8,7 @@ integral bound and coercivity lemmas.
 All psi-weighted integrands are assembled in log space (log rho + log phi
 per point, exponentiated only after the e^{+-t} factors cancel), so they
 stay representable far past where rho(t) * phi(r) would overflow naively.
+The radial quadratures of c_fg and lemma31_ratio take specfun's fixed rule.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import InsufficientDataError, WindowEmptyError
 from .exponents import ModelParams
 from .specfun import (
     TestFunctionContext,
-    _gauss_legendre,
+    fixed_rule,
     log_phi,
     log_rho,
     phi,
@@ -33,10 +34,6 @@ from .specfun import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import InitialProfile, State
-
-_CFG_QUAD_NODES = 512
-_LEMMA_QUAD_NODES = 1024
-
 
 @dataclass(frozen=True)
 class FunctionalSnapshot:
@@ -129,9 +126,7 @@ def c_fg(ctx: TestFunctionContext, profile: "InitialProfile", eps: float) -> flo
 
     Positive for nonnegative, nonvanishing data. f = g = the bump profile.
     """
-    nodes, wts = _gauss_legendre(_CFG_QUAD_NODES)
-    r = 0.5 * profile.R * (nodes + 1.0)
-    w = 0.5 * profile.R * wts
+    r, w = fixed_rule(profile.R)
     f = profile.values(r)
     g = f  # the default data take g = f
     rho0 = rho(ctx, 0.0)
@@ -172,16 +167,14 @@ def lemma31_ratio(ctx: TestFunctionContext, t: float, r_exp: float) -> float:
     """[int_{|x|<=t+R} psi^r dx] / [rho^r(t) e^{rt} (1+t)^{(2-r)(N-1)/2}].
 
     Bounded in t by the integral lemma for the test function; computed fully
-    in log space (numerator by radial Gauss-Legendre quadrature).
+    in log space (numerator by the fixed rule on [0, t + R]).
     """
     if t < 0:
         raise WindowEmptyError(f"time must be nonnegative, got {t}")
     if r_exp <= 1:
         raise InsufficientDataError(f"exponent must exceed 1, got {r_exp}")
     upper = t + ctx.R
-    nodes, wts = _gauss_legendre(_LEMMA_QUAD_NODES)
-    s = 0.5 * upper * (nodes + 1.0)
-    w = 0.5 * upper * wts
+    s, w = fixed_rule(upper)
 
     lrho = log_rho(ctx, t)
     log_f = r_exp * (lrho + log_phi(ctx.N, s)) + (ctx.N - 1) * np.log(s)

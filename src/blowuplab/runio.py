@@ -59,6 +59,16 @@ def integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def number(value, name: str) -> float:
+    """value as a float; a missing or non-numeric value is a ConfigError naming it."""
+    if value is None:
+        raise ConfigError(f"{name} has no value")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def params_from_dict(d: dict) -> ModelParams:
     for key in ("N", "mu", "p", "q"):
         _require(d, key, "params")
@@ -162,7 +172,14 @@ def read_series_csv(path) -> MonitorSeries:
         missing = [name for name in MONITOR_COLUMNS if name not in (reader.fieldnames or ())]
         if missing:
             raise ConfigError(f"{path}: missing monitor column(s) {', '.join(missing)}")
-        rows = [{name: float(row[name]) for name in MONITOR_COLUMNS} for row in reader]
+        rows = []
+        for i, row in enumerate(reader, start=1):
+            try:
+                rows.append({name: float(row[name]) for name in MONITOR_COLUMNS})
+            except (TypeError, ValueError):
+                for name in MONITOR_COLUMNS:  # name the first bad cell
+                    number(row[name], f"{path} row {i} column {name!r}")
+                raise
     return MonitorSeries.from_rows(rows)
 
 

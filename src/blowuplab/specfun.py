@@ -13,6 +13,10 @@ The K_nu quadrature doubles its panels until two levels agree. It evaluates
 the doubling levels in batches, one numpy pass per batch, with each level's
 panel edges being np.linspace written out; its results are bitwise those of
 evaluating one level at a time.
+
+Every fixed-rule quadrature (phi's sphere average here, c_fg and
+lemma31_ratio in functionals) takes one 256-node Gauss-Legendre rule,
+fixed_rule, which like the K_nu panel rule is built on first use.
 """
 
 from __future__ import annotations
@@ -43,10 +47,14 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 # Gauss-Legendre nodes per quadrature panel for K_nu.
 _PANEL_NODES = 16
 
-# Fixed 256-node rule on [0, pi] for the sphere-average reduction of phi.
-_PHI_NODES, _PHI_WEIGHTS = _gauss_legendre(256)
-_PHI_THETA = 0.5 * math.pi * (_PHI_NODES + 1.0)
-_PHI_W = 0.5 * math.pi * _PHI_WEIGHTS
+# Nodes of fixed_rule, the one rule of every fixed-rule quadrature.
+_FIXED_NODES = 256
+
+
+def fixed_rule(upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed _FIXED_NODES-point Gauss-Legendre rule on [0, upper]."""
+    nodes, weights = _gauss_legendre(_FIXED_NODES)
+    return 0.5 * upper * (nodes + 1.0), 0.5 * upper * weights
 
 
 @dataclass(frozen=True)
@@ -227,10 +235,9 @@ def phi(N: int, r):
     if N == 1:
         out = 2.0 * np.cosh(r_arr)
     else:
-        core = np.exp(r_arr[..., None] * np.cos(_PHI_THETA)) * np.sin(_PHI_THETA) ** (
-            N - 2
-        )
-        out = _sphere_area(N - 2) * core @ _PHI_W
+        theta, w = fixed_rule(math.pi)
+        core = np.exp(r_arr[..., None] * np.cos(theta)) * np.sin(theta) ** (N - 2)
+        out = _sphere_area(N - 2) * core @ w
     return out if np.ndim(r) else float(out)
 
 
@@ -244,10 +251,9 @@ def log_phi(N: int, r):
     if N == 1:
         out = r_arr + np.log1p(np.exp(-2.0 * r_arr))
     else:
-        core = np.exp(r_arr[..., None] * (np.cos(_PHI_THETA) - 1.0)) * np.sin(
-            _PHI_THETA
-        ) ** (N - 2)
-        out = r_arr + np.log(_sphere_area(N - 2) * (core @ _PHI_W))
+        theta, w = fixed_rule(math.pi)
+        core = np.exp(r_arr[..., None] * (np.cos(theta) - 1.0)) * np.sin(theta) ** (N - 2)
+        out = r_arr + np.log(_sphere_area(N - 2) * (core @ w))
     return out if np.ndim(r) else float(out)
 
 

@@ -179,6 +179,34 @@ class TestVerify:
         assert err.startswith("config error:") and repr(key) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cell", ["oops", None], ids=["non-numeric", "missing"])
+    def test_verify_bad_monitor_cell_exit_2(self, tmp_path, capsys, cell):
+        run_dir = self._solved(tmp_path, capsys)
+        path = run_dir / "monitors.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        # data row 2, column F (the third): replaced, or cut off with the cells after it
+        lines[2] = ",".join(cells[:2] + [cell] + cells[3:] if cell else cells[:2])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert f"{path} row 2 column 'F'" in err
+
+    @pytest.mark.parametrize("value", ["x", None, [0.4]])
+    @pytest.mark.parametrize("field", ["eps", "R"])
+    def test_verify_non_numeric_manifest_field_exit_2(self, tmp_path, capsys, field, value):
+        run_dir = self._solved(tmp_path, capsys)
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        owner = manifest["config"]["profile"] if field == "R" else manifest["config"]
+        owner[field] = value
+        path.write_text(json.dumps(manifest))
+        assert main(["verify", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert field in err and (value is None or repr(value) in err)
+
     def test_empty_coercivity_window_is_skipped(self, tmp_path, capsys):
         run_dir = self._solved(tmp_path, capsys)
         assert main(["verify", str(run_dir), "--t-lo", "1e6"]) == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from blowuplab import functionals
 from blowuplab.errors import InsufficientDataError, WindowEmptyError
 from blowuplab.exponents import ModelParams
 from blowuplab.functionals import (
@@ -132,6 +133,66 @@ class TestLemma31:
             lemma31_ratio(ctx, -1.0, 2.0)
         with pytest.raises(InsufficientDataError):
             lemma31_ratio(ctx, 1.0, 1.0)
+
+
+class TestFixedRuleAccuracy:
+    """The 256-node fixed rule against the 1024-node rule lemma31_ratio used to take."""
+
+    @pytest.fixture(scope="class")
+    def rule_1024(self):
+        x, w = np.polynomial.legendre.leggauss(1024)
+        return lambda upper: (0.5 * upper * (x + 1.0), 0.5 * upper * w)
+
+    @pytest.fixture
+    def rel_to_1024(self, monkeypatch, rule_1024):
+        # log_phi is pure; sharing its values across mu and r only saves time
+        memo = {}
+        raw_log_phi = functionals.log_phi
+
+        def cached_log_phi(N, r):
+            key = (N, r.tobytes())
+            if key not in memo:
+                memo[key] = raw_log_phi(N, r)
+            return memo[key]
+
+        monkeypatch.setattr(functionals, "log_phi", cached_log_phi)
+
+        def rel(f, *args):
+            new = f(*args)
+            with monkeypatch.context() as m:
+                m.setattr(functionals, "fixed_rule", rule_1024)
+                ref = f(*args)
+            return abs(new / ref - 1.0)
+
+        return rel
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_lemma31_on_the_verify_window(self, rel_to_1024, N):
+        worst = max(
+            rel_to_1024(lemma31_ratio, TestFunctionContext(N=N, mu=mu), float(t), r_exp)
+            for mu in (0.0, 0.5, 2.0, 4.7)
+            for r_exp in (1.3, 2.0, 3.0)
+            for t in np.linspace(0.0, 30.0, 61)
+        )
+        assert worst <= 1e-12  # measured 3.4e-13 over N = 1..5
+
+    def test_lemma31_at_a_long_horizon(self, rel_to_1024):
+        worst = max(
+            rel_to_1024(lemma31_ratio, TestFunctionContext(N=N, mu=mu), 400.0, r_exp)
+            for N in (1, 2, 3, 4, 5)
+            for mu in (0.0, 0.5, 2.0, 4.7)
+            for r_exp in (1.3, 2.0, 3.0)
+        )
+        assert worst <= 5e-12  # measured 2.2e-12
+
+    def test_c_fg(self, rel_to_1024):
+        worst = max(
+            rel_to_1024(c_fg, TestFunctionContext(N=N, mu=mu, R=R), InitialProfile(R=R), 0.3)
+            for N in (1, 2, 3, 4, 5)
+            for mu in (0.0, 0.5, 2.0, 4.7)
+            for R in (0.5, 1.0, 2.0)
+        )
+        assert worst <= 1e-13  # measured 1.3e-14
 
 
 def _monitored_run(eps=0.35, nr=800, t_max=10.0):

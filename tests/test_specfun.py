@@ -5,6 +5,9 @@ no shared code paths with the package implementation.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from scipy.integrate import quad
 
 from blowuplab import specfun
 from blowuplab.errors import AccuracyError, DomainError
-from blowuplab.functionals import lemma31_ratio
+from blowuplab.functionals import c_fg, lemma31_ratio
+from blowuplab.solver import InitialProfile
 from blowuplab.specfun import (
     BesselEvalConfig,
     TestFunctionContext,
@@ -251,10 +255,27 @@ class TestGaussLegendre:
             for t in (0.0, 1.0, 5.0):
                 log_rho(ctx, t)
                 rho_log_derivative(ctx, t)
+                log_phi(3, np.linspace(0.0, t + 1.0, 50))
                 lemma31_ratio(ctx, t, 2.0)
-            assert sorted(built) == [16, 1024]
+                c_fg(ctx, InitialProfile(R=1.0), 0.3)
+            # the K_nu panels' rule and the one fixed rule, nothing else
+            assert sorted(built) == [16, 256]
         finally:
             specfun._gauss_legendre.cache_clear()
+
+    def test_cli_import_builds_no_rule(self):
+        code = (
+            "import numpy.polynomial.legendre as leg\n"
+            "built, leggauss = [], leg.leggauss\n"
+            "leg.leggauss = lambda n: built.append(n) or leggauss(n)\n"
+            "import blowuplab.cli\n"
+            "print(built)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("n", [16, 256, 512, 1024])
     def test_read_only_and_exact(self, n):
