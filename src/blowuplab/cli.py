@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -158,6 +159,8 @@ def _cmd_verify(args) -> int:
     profile = runio._require(config, "profile", "manifest config")
     R = runio.number(runio._require(profile, "R", "manifest profile"), "manifest profile.R")
     eps = runio.number(runio._require(config, "eps", "manifest config"), "manifest eps")
+    if not math.isfinite(eps):
+        raise ConfigError(f"manifest eps must be finite, got {eps}")
     series = runio.read_series_csv(run_dir / "monitors.csv")
     ctx = specfun.TestFunctionContext(N=params.N, mu=params.mu, R=R)
 

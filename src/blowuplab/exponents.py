@@ -32,8 +32,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
-        if self.mu < 0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ConfigError(f"mu must be finite and >= 0, got {self.mu}")
         if not self.p > 1 or not self.q > 1:
             raise ConfigError(f"powers must exceed 1, got p={self.p}, q={self.q}")
         if self.N >= 3 and self.q > 2 * self.N / (self.N - 2):

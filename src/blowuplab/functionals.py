@@ -115,8 +115,9 @@ def compute_snapshot(
     G = (1.0 + state.t) ** (params.mu / 2.0) * F
     G1 = area * float(np.dot(wr, state.u * psi_grid))
     G2 = area * float(np.dot(wr, state.v * psi_grid))
-    int_ut_p = area * float(np.dot(wr, np.abs(state.v) ** params.p))
-    int_u_q = area * float(np.dot(wr, np.abs(state.u) ** params.q))
+    mag_u, mag_v = state.mags
+    int_ut_p = area * float(np.dot(wr, mag_v ** params.p))
+    int_u_q = area * float(np.dot(wr, mag_u ** params.q))
     gamma = params.mu / (1.0 + state.t) - 2.0 * rho_log_derivative(ctx, state.t)
     return FunctionalSnapshot(state.t, F, G, G1, G2, gamma, int_ut_p, int_u_q)
 
@@ -202,7 +203,8 @@ class CoercivityReport:
 def coercivity_report(
     series: MonitorSeries, eps: float, t_lo: float = 2.0
 ) -> CoercivityReport:
-    """min G1/eps and G2/eps over [t_lo, 0.9 T_end]; flags nonpositive minima."""
+    """min G1/eps and G2/eps over [t_lo, 0.9 T_end]; flags minima that are
+    not positive, NaN included."""
     if len(series) == 0:
         raise InsufficientDataError("empty monitor series")
     t_end = float(series.t[-1])
@@ -217,4 +219,4 @@ def coercivity_report(
         return CoercivityReport(t_lo, t_hi, 0.0, 0.0, violated=True)
     g1 = float(np.min(series.G1[mask])) / eps
     g2 = float(np.min(series.G2[mask])) / eps
-    return CoercivityReport(t_lo, t_hi, g1, g2, violated=(g1 <= 0 or g2 <= 0))
+    return CoercivityReport(t_lo, t_hi, g1, g2, violated=not (g1 > 0 and g2 > 0))

@@ -20,7 +20,10 @@ for the rest, and keeps the operation order of the array expression
               - (acc_old + c vel_old) u_prev) / denom
     v_next = (u_next - u)/dt + (dt/2) ((acc_new u_next + acc_cur u) + acc_old u_prev)
 
-so its results are bitwise those of that expression.
+so its results are bitwise those of that expression. v enters the step only
+through |v|^p, so `advance` takes the state's magnitudes (|u|, |v|), which
+the solver has already taken for its amplitude checks, in place of v; it
+skips the products by a and b when they are 1.0, as x * 1.0 == x exactly.
 """
 
 from __future__ import annotations
@@ -70,14 +73,15 @@ def radial_laplacian(u, h, dim, hi, g, out):
 
 
 def advance(
-    u, u_prev, v, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi, g=None
+    u, u_prev, mags, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi, g=None
 ):
     """One step of the scheme; returns (u_next, v_next), as long as u.
 
-    Cells with index > i_hi are outside the active support window and stay
-    exactly zero; the last cell of the arrays is never updated, so in a
-    forced run, whose arrays span the whole grid, it is the homogeneous
-    Dirichlet boundary. `forcing` is None for the unforced equation; g is
+    mags is (|u|, |v|) of the current level, each as long as u. Cells with
+    index > i_hi are outside the active support window and stay exactly
+    zero; the last cell of the arrays is never updated, so in a forced run,
+    whose arrays span the whole grid, it is the homogeneous Dirichlet
+    boundary. `forcing` is None for the unforced equation; g is
     radial_coefficients(dim, h, k) for some k >= min(i_hi, n - 2), built
     here when absent. The inputs are only read.
     """
@@ -90,17 +94,18 @@ def advance(
     if g is None:
         g = radial_coefficients(dim, h, hi)
     uw, pw = u[:m], u_prev[:m]
+    mag_u, mag_v = mags
 
     u_next = np.zeros(n)
     v_next = np.zeros(n)
     rhs = radial_laplacian(u, h, dim, hi, g, u_next)
     src, tmp = v_next[:m], np.empty(m)
-    np.abs(v[:m], out=src)
-    src **= p
-    src *= a
-    np.abs(uw, out=tmp)
-    tmp **= q
-    tmp *= b
+    np.power(mag_v[:m], p, out=src)
+    if a != 1.0:
+        src *= a
+    np.power(mag_u[:m], q, out=tmp)
+    if b != 1.0:
+        tmp *= b
     src += tmp
     rhs += src
     if forcing is not None:

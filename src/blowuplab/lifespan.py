@@ -77,8 +77,8 @@ def sweep(
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
         raise InsufficientDataError(f"need >= 3 epsilons, got {len(eps_list)}")
-    if any(e <= 0 for e in eps_list):
-        raise ConfigError("all epsilons must be positive")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise ConfigError("all epsilons must be positive and finite")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("epsilon ladder must be strictly decreasing")
 

@@ -37,8 +37,8 @@ class InitialProfile:
     def __post_init__(self) -> None:
         if self.shape != "bump":
             raise ConfigError(f"unknown profile shape {self.shape!r}")
-        if not self.R > 0:
-            raise ConfigError(f"support radius must be positive, got {self.R}")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ConfigError(f"support radius must be finite and positive, got {self.R}")
 
     def values(self, r: np.ndarray) -> np.ndarray:
         x = np.asarray(r, dtype=float) / self.R
@@ -75,8 +75,10 @@ class SimConfig:
     forcing: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if self.eps < 0:
-            raise ConfigError(f"eps must be nonnegative, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ConfigError(f"eps must be finite and nonnegative, got {self.eps}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ConfigError(f"L must be finite and positive, got {self.L}")
         if self.nr < 64:
             raise ConfigError(f"nr must be >= 64, got {self.nr}")
         if not 0 < self.cfl <= 1:
@@ -102,8 +104,10 @@ class State:
     g, when set, holds kernels.radial_coefficients for cells 1..n - 1 or more.
 
     A state's arrays are never modified after construction: each step and
-    each regrowth builds a new State. That is what lets `amps` be computed
-    once and shared by dt control, the finiteness check and the blow-up test.
+    each regrowth builds a new State. That is what lets `mags` be taken once
+    and shared by every reader of the state: `amps` (dt control, the
+    finiteness check and the blow-up test), the step's nonlinear sources and
+    the monitor's nonlinear integrals.
     """
 
     t: float
@@ -116,14 +120,21 @@ class State:
     g: Optional[np.ndarray] = None
 
     @functools.cached_property
+    def mags(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|u|, |v|) over the stored cells; like u and v, never modified."""
+        return np.abs(self.u), np.abs(self.v)
+
+    @functools.cached_property
     def amps(self) -> tuple[float, float]:
         """(max|u|, max|v|) over the stored cells, each NaN if its array holds one.
 
         Cells past the active window are exactly zero, so these are the
         window maxima; NaN propagates through max and |inf| is inf, so both
-        are finite exactly when every cell of u and v is.
+        are finite exactly when every cell of u and v is. The maxima are
+        taken with np.maximum.reduce, the reduction np.max wraps.
         """
-        return float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v)))
+        mag_u, mag_v = self.mags
+        return float(np.maximum.reduce(mag_u)), float(np.maximum.reduce(mag_v))
 
     def finite(self) -> bool:
         return all(map(math.isfinite, self.amps))
@@ -237,7 +248,8 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
     if state.step == 0:
         w = slice(0, hi + 1)
         u0, v0 = state.u[w], state.v[w]
-        src = a * np.abs(v0) ** params.p + b * np.abs(u0) ** params.q
+        mag_u, mag_v = state.mags
+        src = a * mag_v[w] ** params.p + b * mag_u[w] ** params.q
         acc = kernels.radial_laplacian(
             state.u, cfg.h, params.N, hi, state.g, np.empty(hi + 1)
         )
@@ -256,7 +268,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
     u_next, v_next = kernels.advance(
         state.u,
         state.u_prev,
-        state.v,
+        state.mags,
         forcing,
         state.t,
         dt,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import warnings
 
 import pytest
@@ -207,6 +208,19 @@ class TestVerify:
         assert err.startswith("config error:") and "Traceback" not in err
         assert field in err and (value is None or repr(value) in err)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_verify_non_finite_manifest_eps_exit_2(self, tmp_path, capsys, value):
+        run_dir = self._solved(tmp_path, capsys)
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["eps"] = value
+        path.write_text(json.dumps(manifest))
+        assert main(["verify", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "eps" in err
+        assert not (run_dir / "verify.json").exists()
+
     def test_empty_coercivity_window_is_skipped(self, tmp_path, capsys):
         run_dir = self._solved(tmp_path, capsys)
         assert main(["verify", str(run_dir), "--t-lo", "1e6"]) == 0
@@ -282,6 +296,19 @@ class TestSweep:
         ("solve", dict(RUN_CONFIG, nr=600.5)),
         ("solve", dict(RUN_CONFIG, monitor_stride=2.5)),
         ("sweep", dict(SWEEP_CONFIG, refine=1.5)),
+        # non-finite or nonpositive run parameters fail before any allocation
+        ("solve", dict(RUN_CONFIG, L=-6)),
+        ("solve", dict(RUN_CONFIG, L=0)),
+        ("solve", dict(RUN_CONFIG, L=math.nan)),
+        ("solve", dict(RUN_CONFIG, L=math.inf)),
+        ("solve", dict(RUN_CONFIG, eps=math.nan)),
+        ("solve", dict(RUN_CONFIG, eps=math.inf)),
+        ("solve", dict(RUN_CONFIG, params=dict(RUN_CONFIG["params"], mu=math.nan))),
+        ("solve", dict(RUN_CONFIG, params=dict(RUN_CONFIG["params"], mu=math.inf))),
+        ("solve", dict(RUN_CONFIG, profile={"R": math.inf})),
+        ("classify", dict(RUN_CONFIG["params"], mu=math.nan)),
+        ("sweep", dict(SWEEP_CONFIG, eps_list=[0.4, math.nan, 0.2])),
+        ("sweep", dict(SWEEP_CONFIG, eps_list=[math.inf, 0.3, 0.2])),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):

@@ -2,6 +2,7 @@
 identity / lemma monitors on real solver trajectories."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,17 @@ class TestCoercivity:
         rep = coercivity_report(res.monitors, 0.0)
         assert rep.violated
         assert rep.min_g1_over_eps == 0.0
+
+    @pytest.mark.parametrize("column, eps", [("G1", 0.35), ("G2", 0.35), (None, math.nan)])
+    def test_nan_minimum_flagged(self, column, eps):
+        # NaN compares false with 0, so a NaN minimum must not read as positive
+        _, res = _monitored_run()
+        series = res.monitors
+        if column is not None:
+            values = getattr(series, column).copy()
+            values[len(values) // 2] = math.nan
+            series = replace(series, **{column: values})
+        assert coercivity_report(series, eps).violated
 
     def test_empty_window(self):
         _, res = _monitored_run()

@@ -42,6 +42,11 @@ def _reference_advance(u, u_prev, v, forcing, t, dt, dt_prev, h, dim, mu, a, b, 
     return u_next, v_next
 
 
+def _mags(u, v):
+    """The magnitudes advance takes in place of v, as State.mags holds them."""
+    return np.abs(u), np.abs(v)
+
+
 def _random_state(n, rng):
     u = rng.standard_normal(n) * 0.3
     u_prev = u + 0.01 * rng.standard_normal(n)
@@ -56,7 +61,7 @@ def test_support_window_stays_zero():
     u, u_prev, v, forcing = _random_state(n, rng)
     i_hi = 20
     un, vn = kernels.advance(
-        u, u_prev, v, forcing, 0.2, 0.01, 0.01, 0.1, 1, 0.5, 1.0, 0.0, 2.0, 2.0, i_hi
+        u, u_prev, _mags(u, v), forcing, 0.2, 0.01, 0.01, 0.1, 1, 0.5, 1.0, 0.0, 2.0, 2.0, i_hi
     )
     assert np.all(un[i_hi + 1 :] == 0.0)
     assert np.all(vn[i_hi + 1 :] == 0.0)
@@ -68,7 +73,7 @@ def test_dirichlet_boundary_cell():
     n = 30
     u, u_prev, v, forcing = _random_state(n, rng)
     un, vn = kernels.advance(
-        u, u_prev, v, forcing, 0.2, 0.01, 0.01, 0.1, 2, 1.0, 0.0, 1.0, 2.0, 2.2, n - 1
+        u, u_prev, _mags(u, v), forcing, 0.2, 0.01, 0.01, 0.1, 2, 1.0, 0.0, 1.0, 2.0, 2.2, n - 1
     )
     assert un[-1] == 0.0 and vn[-1] == 0.0
 
@@ -83,7 +88,7 @@ def test_uniform_step_reduces_to_leapfrog():
     v = np.zeros(n)
     forcing = np.zeros(n)
     un, _ = kernels.advance(
-        u, u_prev, v, forcing, 1.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, n - 2
+        u, u_prev, _mags(u, v), forcing, 1.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, n - 2
     )
     lap = np.zeros(n)
     lap[0] = 2.0 * (u[1] - u[0]) / h**2
@@ -103,10 +108,10 @@ def test_damping_sign():
     v = np.zeros(n)
     forcing = np.zeros(n)
     un0, _ = kernels.advance(
-        u, u_prev, v, forcing, 0.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, 5
+        u, u_prev, _mags(u, v), forcing, 0.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, 5
     )
     un1, _ = kernels.advance(
-        u, u_prev, v, forcing, 0.0, dt, dt, h, 1, 2.0, 0.0, 0.0, 2.0, 2.0, 5
+        u, u_prev, _mags(u, v), forcing, 0.0, dt, dt, h, 1, 2.0, 0.0, 0.0, 2.0, 2.0, 5
     )
     assert np.all(un1[:4] < un0[:4])
 
@@ -150,10 +155,11 @@ def test_advance_matches_expression_form_bitwise(d):
     extra = ()
     if d["g_extra"] is not None:  # as the solver passes it: n - 1 cells or more
         extra = (kernels.radial_coefficients(d["dim"], d["h"], n - 1 + d["g_extra"]),)
-    inputs = [x for x in (u, u_prev, v, forcing, *extra) if x is not None]
+    mags = _mags(u, v)
+    inputs = [x for x in (u, u_prev, *mags, forcing, *extra) if x is not None]
     before = [x.copy() for x in inputs]
 
-    un, vn = _call(kernels.advance, d, u, u_prev, v, forcing, *extra)
+    un, vn = _call(kernels.advance, d, u, u_prev, mags, forcing, *extra)
     ru, rv = _call(_reference_advance, d, u, u_prev, v, forcing)
     assert un.tobytes() == ru.tobytes()
     assert vn.tobytes() == rv.tobytes()
@@ -163,7 +169,7 @@ def test_advance_matches_expression_form_bitwise(d):
     assert np.all(un[hi + 1 :] == 0.0) and np.all(vn[hi + 1 :] == 0.0)
 
     zero = np.zeros(n)
-    zu, zv = _call(kernels.advance, d, zero, zero, zero, None, *extra)
+    zu, zv = _call(kernels.advance, d, zero, zero, (zero, zero), None, *extra)
     assert not zu.any() and not zv.any()
 
 

@@ -174,6 +174,64 @@ class TestSupportWindow:
         np.testing.assert_array_equal(res_big.monitors.G1, res.monitors.G1)
 
 
+_cell_values = hs.one_of(
+    hs.floats(), hs.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf])
+)
+
+
+class TestMagnitudes:
+    """|u|, |v| are taken once per state and shared by all its readers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u=hs.lists(_cell_values, min_size=1, max_size=60),
+        v=hs.lists(_cell_values, min_size=1, max_size=60),
+    )
+    def test_amps_is_max_abs_bitwise(self, u, v):
+        u, v = np.array(u), np.array(v)
+        state = State(t=0.0, dt_prev=0.0, u=u, u_prev=None, v=v, step=0, h=0.1)
+        expected = np.array([np.max(np.abs(u)), np.max(np.abs(v))])
+        assert np.array(state.amps).tobytes() == expected.tobytes()
+        assert state.finite() == bool(np.isfinite(u).all() and np.isfinite(v).all())
+
+    def test_kernel_reads_the_stepped_states_mags(self, monkeypatch):
+        # the state a step advances is the one _cover returns (a regrowth
+        # builds a new one); the kernel must take its mags, not re-take |.|
+        covered, calls, inner_abs = [], [], []
+        cover, advance, np_abs = solver._cover, kernels.advance, np.abs
+
+        def recording_cover(*args):
+            covered.append(cover(*args))
+            return covered[-1]
+
+        def checked_advance(*args, **kwargs):
+            assert args[0] is covered[-1].u
+            assert args[2] is covered[-1].mags
+            calls.append(1)
+            checked_advance.inside = True
+            try:
+                return advance(*args, **kwargs)
+            finally:
+                checked_advance.inside = False
+
+        def spied_abs(*args, **kwargs):
+            if checked_advance.inside:
+                inner_abs.append(1)
+            return np_abs(*args, **kwargs)
+
+        checked_advance.inside = False
+        monkeypatch.setattr(solver, "_cover", recording_cover)
+        monkeypatch.setattr(kernels, "advance", checked_advance)
+        monkeypatch.setattr(np, "abs", spied_abs)
+        params = ModelParams(N=3, mu=0.5, p=1.9, q=2.2, a=1, b=1)
+        cfg = SimConfig(params=params, eps=1.2, L=21.0, nr=300, t_max=20.0)
+        res = run(cfg)
+        assert res.outcome == "blowup"
+        assert len(calls) == res.steps - 1  # the first step is the Taylor start
+        assert len({c.u.shape[0] for c in covered}) > 1  # the state regrew
+        assert not inner_abs
+
+
 class TestEnergy:
     @pytest.mark.parametrize("N", [1, 3])
     def test_linear_energy_nonincreasing(self, N):
