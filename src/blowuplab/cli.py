@@ -20,7 +20,7 @@ import numpy as np
 from . import exponents, functionals, runio, specfun
 from .errors import BlowupLabError, ConfigError
 from .lifespan import DEFAULT_TAU, compare_to_theory, fit_exponential_law, fit_power_law, sweep
-from .solver import run
+from .solver import SimConfig, run
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -54,7 +54,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_classify(args) -> int:
-    params = runio.params_from_dict(_params_payload(runio.load_json(args.config)))
+    params = runio.config_from_dict(
+        exponents.ModelParams, _params_payload(runio.load_json(args.config)), "params"
+    )
     tag = exponents.classify(params)
     thr = exponents.thresholds(params)
     if tag is exponents.RegionClassification.NO_THEOREM:
@@ -135,7 +137,7 @@ def _cmd_specfun_check(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = runio.sim_config_from_dict(runio.load_json(args.config))
+    cfg = runio.config_from_dict(SimConfig, runio.load_json(args.config), "run config")
     t0 = time.perf_counter()
     result = run(cfg)
     elapsed = time.perf_counter() - t0
@@ -155,7 +157,9 @@ def _cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     manifest = runio.load_json(run_dir / "manifest.json")
     config = runio._require(manifest, "config", "manifest")
-    params = runio.params_from_dict(runio._require(config, "params", "manifest config"))
+    params = runio.config_from_dict(
+        exponents.ModelParams, runio._require(config, "params", "manifest config"), "params"
+    )
     profile = runio._require(config, "profile", "manifest config")
     R = runio.number(runio._require(profile, "R", "manifest profile"), "manifest profile.R")
     eps = runio.number(runio._require(config, "eps", "manifest config"), "manifest eps")
@@ -202,14 +206,13 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     doc = runio.load_json(args.config)
     eps_list = runio.eps_list_from_dict(doc)
-    base = runio.sim_config_from_dict(doc.get("base") or doc)
-    try:
-        refine = args.refine
-        if refine is None:
-            refine = runio.integer(doc.get("refine", 2), "refine")
-        tau = args.tau if args.tau is not None else float(doc.get("tau", DEFAULT_TAU))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep config: {exc}") from exc
+    base = runio.config_from_dict(SimConfig, doc.get("base") or doc, "run config")
+    refine = args.refine
+    if refine is None:
+        refine = runio.integer(doc.get("refine", 2), "refine")
+    tau = runio.number(args.tau if args.tau is not None else doc.get("tau", DEFAULT_TAU), "tau")
+    if not 0 < tau < 1:
+        raise ConfigError(f"tau must lie in (0, 1), got {tau}")
 
     result = sweep(base, eps_list, refine=refine, jobs=args.jobs)
     fit_payload: dict = {"bound": {"kind": result.bound.kind, "exponent": result.bound.exponent}}
@@ -237,7 +240,7 @@ def _cmd_sweep(args) -> int:
         fit_payload["fit_error"] = str(exc)
 
     sweep_cfg = {
-        "base": runio.sim_config_to_dict(base),
+        "base": runio.config_to_dict(base),
         "eps_list": eps_list,
         "refine": refine,
         "tau": tau,

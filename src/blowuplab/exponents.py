@@ -6,8 +6,6 @@ threshold mu_star, the dimension shift sigma(mu), the region classifier,
 and the theoretical lifespan exponents.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from dataclasses import dataclass
@@ -34,8 +32,8 @@ class ModelParams:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ConfigError(f"mu must be finite and >= 0, got {self.mu}")
-        if not self.p > 1 or not self.q > 1:
-            raise ConfigError(f"powers must exceed 1, got p={self.p}, q={self.q}")
+        if not all(math.isfinite(power) and power > 1 for power in (self.p, self.q)):
+            raise ConfigError(f"powers must be finite and exceed 1, got p={self.p}, q={self.q}")
         if self.N >= 3 and self.q > 2 * self.N / (self.N - 2):
             raise ConfigError(
                 f"q={self.q} violates q <= 2N/(N-2) = {2 * self.N / (self.N - 2)}"
@@ -77,31 +75,15 @@ def glassey_exponent(d: float) -> float:
     return 1.0 + 2.0 / (d - 1.0)
 
 
-def _strauss_quadratic(d: float, q: float) -> float:
-    return (d - 1.0) * q * q - (d + 1.0) * q - 2.0
-
-
 def strauss_exponent(d: float) -> float:
     """q_S(d): positive root of (d-1)q^2 - (d+1)q - 2 = 0.
 
-    Solved by safeguarded Newton from the right of the root (the quadratic
-    is convex, so the iteration is monotone); avoids the cancellation the
-    closed form suffers near d = 1+.
+    Both terms of the closed form's numerator are positive for d > 1, so it
+    suffers no cancellation, near d = 1+ included.
     """
     if d <= 1:
         raise DomainError(f"dimension argument must exceed 1, got {d}")
-    hi = 2.0
-    while _strauss_quadratic(d, hi) <= 0:
-        hi *= 2.0
-    q = hi
-    for _ in range(200):
-        f = _strauss_quadratic(d, q)
-        fp = 2.0 * (d - 1.0) * q - (d + 1.0)
-        step = f / fp
-        q -= step
-        if abs(step) <= 1e-15 * q:
-            break
-    return q
+    return (d + 1.0 + math.sqrt((d + 1.0) ** 2 + 8.0 * (d - 1.0))) / (2.0 * (d - 1.0))
 
 
 def lambda_combined(p: float, q: float, d: float) -> float:

@@ -3,11 +3,24 @@
 Configs and manifests are JSON; series and tables are CSV. Artifact
 directories are named by a truncated SHA-256 of the canonically
 serialized config, so identical configs land in identical paths.
+
+The run-config schema is the fields of the config dataclasses SimConfig,
+InitialProfile and ModelParams, one JSON key per field. A field with no
+default is a required key; an absent optional key takes the field's
+default. An int field is read by `integer`, a float field by `number`, a
+nested config dataclass as a nested object, and a str is passed on for its
+dataclass to check. Keys that are not fields are ignored, and a field
+marked `metadata={"schema": False}` (the `forcing` test hook) is neither
+read nor written. The modules defining those dataclasses do not postpone
+annotations, so each field's type is the class itself. `config_from_dict`
+reads the schema and `config_to_dict` writes it, so a new config field is
+one line in its dataclass.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +33,7 @@ from .errors import ConfigError, InsufficientDataError
 from .exponents import ModelParams
 from .functionals import MONITOR_COLUMNS, MonitorSeries, residual_F
 from .lifespan import SweepResult
-from .solver import InitialProfile, RunResult, SimConfig
+from .solver import RunResult, SimConfig
 
 TOOL_VERSION = "blowuplab 0.1.0"
 
@@ -69,63 +82,39 @@ def number(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
-def params_from_dict(d: dict) -> ModelParams:
-    for key in ("N", "mu", "p", "q"):
-        _require(d, key, "params")
-    try:
-        return ModelParams(
-            N=integer(d["N"], "N"),
-            mu=float(d["mu"]),
-            p=float(d["p"]),
-            q=float(d["q"]),
-            a=integer(d.get("a", 1), "a"),
-            b=integer(d.get("b", 1), "b"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid params: {exc}") from exc
+def _schema_fields(cls) -> list:
+    return [f for f in dataclasses.fields(cls) if f.metadata.get("schema", True)]
 
 
-def params_to_dict(p: ModelParams) -> dict:
-    return {"N": p.N, "mu": p.mu, "p": p.p, "q": p.q, "a": p.a, "b": p.b}
+# How a field of each type is read; a str is passed on for its dataclass to check.
+_READERS = {int: integer, float: number, str: lambda value, name: value}
 
 
-def sim_config_from_dict(d: dict) -> SimConfig:
-    params = params_from_dict(_require(d, "params", "run config"))
-    prof = _object(d.get("profile", {}), "profile in run config")
-    try:
-        return SimConfig(
-            params=params,
-            eps=float(_require(d, "eps", "run config")),
-            profile=InitialProfile(shape=prof.get("shape", "bump"), R=float(prof.get("R", 1.0))),
-            L=float(_require(d, "L", "run config")),
-            nr=integer(_require(d, "nr", "run config"), "nr"),
-            cfl=float(d.get("cfl", 0.9)),
-            t_max=float(_require(d, "t_max", "run config")),
-            blowup_threshold=float(d.get("blowup_threshold", 1e6)),
-            dt_min=float(d.get("dt_min", 1e-10)),
-            monitor_stride=integer(d.get("monitor_stride", 10), "monitor_stride"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid run config: {exc}") from exc
+def _field_value(kind, value, name: str):
+    if dataclasses.is_dataclass(kind):
+        return config_from_dict(kind, value, name)
+    return _READERS[kind](value, name)
 
 
-def sim_config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "params": params_to_dict(cfg.params),
-        "eps": cfg.eps,
-        "profile": {"shape": cfg.profile.shape, "R": cfg.profile.R},
-        "L": cfg.L,
-        "nr": cfg.nr,
-        "cfl": cfg.cfl,
-        "t_max": cfg.t_max,
-        "blowup_threshold": cfg.blowup_threshold,
-        "dt_min": cfg.dt_min,
-        "monitor_stride": cfg.monitor_stride,
-    }
+def config_from_dict(cls, doc, where: str):
+    """The config dataclass cls read from the JSON object doc; `where` names doc in errors."""
+    doc = _object(doc, where)
+    kwargs = {}
+    for f in _schema_fields(cls):
+        if f.name in doc:
+            kwargs[f.name] = _field_value(f.type, doc[f.name], f.name)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing key {f.name!r} in {where}")
+    return cls(**kwargs)
+
+
+def config_to_dict(cfg) -> dict:
+    """The JSON object of a config dataclass: one key per schema field."""
+    out = {}
+    for f in _schema_fields(cfg):
+        value = getattr(cfg, f.name)
+        out[f.name] = config_to_dict(value) if dataclasses.is_dataclass(value) else value
+    return out
 
 
 def eps_list_from_dict(d: dict) -> list[float]:
@@ -133,10 +122,7 @@ def eps_list_from_dict(d: dict) -> list[float]:
     eps_list = _require(d, "eps_list", "sweep config")
     if not isinstance(eps_list, list) or not eps_list:
         raise ConfigError(f"eps_list must be a non-empty list in sweep config, got {eps_list!r}")
-    try:
-        return [float(e) for e in eps_list]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid eps_list: {exc}") from exc
+    return [number(e, f"eps_list[{i}]") for i, e in enumerate(eps_list)]
 
 
 def load_json(path) -> dict:
@@ -191,7 +177,7 @@ def default_out_dir(cli_value=None) -> Path:
 
 def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Path:
     """Write monitors.csv + manifest.json under out_root/<config hash>/."""
-    cfg_dict = sim_config_to_dict(cfg)
+    cfg_dict = config_to_dict(cfg)
     run_dir = Path(out_root) / config_hash(cfg_dict)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(run_dir / "monitors.csv", result.monitors, cfg.params)

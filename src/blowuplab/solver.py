@@ -5,8 +5,6 @@ uniform radial grid with small compactly supported data, adapting dt near
 blow-up and reporting a numerical lifespan validated by grid refinement.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -32,7 +30,6 @@ class InitialProfile:
 
     shape: str = "bump"
     R: float = 1.0
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         if self.shape != "bump":
@@ -57,22 +54,27 @@ class SimConfig:
     the cells its support r <= t + R has reached, however far past L, so its
     cost follows h and t + R alone. A forced run (the `forcing` hook) holds
     all nr + 1 cells of [0, L], the last one a Dirichlet boundary.
+
+    Every field but `forcing` is a key of the run-config JSON (see runio);
+    a field with no default is a required key.
     """
 
     params: ModelParams
     eps: float
+    L: float
+    nr: int
+    t_max: float
     profile: InitialProfile = field(default_factory=InitialProfile)
-    L: float = 12.0
-    nr: int = 600
     cfl: float = 0.9
-    t_max: float = 10.0
     blowup_threshold: float = 1e6
     dt_min: float = 1e-10
     # Monitor sampling interval in steps; the F'' identity check differences
     # the monitor grid, so its accuracy scales with (stride * dt)^2.
     monitor_stride: int = 10
     # Test hook for manufactured solutions; not part of the config schema.
-    forcing: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    forcing: Optional[Callable[[np.ndarray, float], np.ndarray]] = field(
+        default=None, metadata={"schema": False}
+    )
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps) and self.eps >= 0):
@@ -83,8 +85,14 @@ class SimConfig:
             raise ConfigError(f"nr must be >= 64, got {self.nr}")
         if not 0 < self.cfl <= 1:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not self.t_max > 0:
-            raise ConfigError(f"t_max must be positive, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
+        if not (math.isfinite(self.blowup_threshold) and self.blowup_threshold > 0):
+            raise ConfigError(
+                f"blowup_threshold must be finite and positive, got {self.blowup_threshold}"
+            )
+        if not (math.isfinite(self.dt_min) and self.dt_min >= 0):
+            raise ConfigError(f"dt_min must be finite and nonnegative, got {self.dt_min}")
         if self.monitor_stride < 1:
             raise ConfigError(f"monitor_stride must be >= 1, got {self.monitor_stride}")
 

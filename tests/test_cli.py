@@ -309,10 +309,33 @@ class TestSweep:
         ("classify", dict(RUN_CONFIG["params"], mu=math.nan)),
         ("sweep", dict(SWEEP_CONFIG, eps_list=[0.4, math.nan, 0.2])),
         ("sweep", dict(SWEEP_CONFIG, eps_list=[math.inf, 0.3, 0.2])),
+        ("solve", dict(RUN_CONFIG, params=dict(RUN_CONFIG["params"], p=math.inf))),
+        ("solve", dict(RUN_CONFIG, params=dict(RUN_CONFIG["params"], q=math.inf))),
+        ("classify", dict(RUN_CONFIG["params"], p=math.inf)),
+        ("solve", dict(RUN_CONFIG, t_max=math.inf)),
+        ("solve", dict(RUN_CONFIG, t_max=math.nan)),
+        ("solve", dict(RUN_CONFIG, dt_min=math.nan)),
+        ("solve", dict(RUN_CONFIG, dt_min=math.inf)),
+        ("solve", dict(RUN_CONFIG, dt_min=-1e-10)),
+        ("solve", dict(RUN_CONFIG, blowup_threshold=math.nan)),
+        ("solve", dict(RUN_CONFIG, blowup_threshold=math.inf)),
+        ("solve", dict(RUN_CONFIG, blowup_threshold=0.0)),
+        # tau, from the config or --tau, must be finite and lie in (0, 1)
+        ("sweep", dict(SWEEP_CONFIG, tau=math.nan)),
+        ("sweep", dict(SWEEP_CONFIG, tau=-0.5)),
+        ("sweep", dict(SWEEP_CONFIG, tau=0.0)),
+        ("sweep", dict(SWEEP_CONFIG, tau=1.0)),
+        ("sweep", dict(SWEEP_CONFIG, tau=1.5)),
+        ("sweep", dict(SWEEP_CONFIG, tau="x")),
+        ("sweep --tau=nan", SWEEP_CONFIG),
+        ("sweep --tau=inf", SWEEP_CONFIG),
+        ("sweep --tau=-0.5", SWEEP_CONFIG),
+        ("sweep --tau=1.5", SWEEP_CONFIG),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):
-    argv = [command, "--config", _write(tmp_path, "bad.json", doc)]
+    command, *flags = command.split()
+    argv = [command, *flags, "--config", _write(tmp_path, "bad.json", doc)]
     if command != "classify":
         argv += ["--out", str(tmp_path / "r")]
     assert main(argv) == 2

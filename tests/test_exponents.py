@@ -2,7 +2,10 @@
 
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from blowuplab.errors import ConfigError, DomainError, NoTheoremError
 from blowuplab.exponents import (
@@ -38,6 +41,9 @@ class TestModelParams:
             dict(N=3, mu=0.5, p=2.0, q=6.5),  # Sobolev: q <= 2N/(N-2) = 6
             dict(N=1, mu=0.5, p=2.0, q=2.0, a=2),
             dict(N=1, mu=0.5, p=2.0, q=2.0, b=-1),
+            dict(N=1, mu=0.5, p=math.inf, q=2.0),
+            dict(N=1, mu=0.5, p=2.0, q=math.inf),
+            dict(N=1, mu=0.5, p=math.nan, q=2.0),
         ],
     )
     def test_rejections(self, kw):
@@ -64,12 +70,20 @@ class TestCriticalExponents:
         assert strauss_exponent(3.0) == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-13)
 
     def test_strauss_near_one(self):
-        # d -> 1+: the root diverges like 2/(d-1); Newton must stay accurate.
+        # d -> 1+: the root diverges like 2/(d-1); it must stay accurate.
         d = 1.0 + 1e-8
         q = strauss_exponent(d)
         assert (d - 1.0) * q * q - (d + 1.0) * q - 2.0 == pytest.approx(
             0.0, abs=1e-8 * q
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.floats(1.0 + 1e-15, 1e8))
+    def test_strauss_matches_50_digit_root(self, d):
+        with mpmath.workdps(50):
+            dm = mpmath.mpf(d)
+            exact = (dm + 1 + mpmath.sqrt((dm + 1) ** 2 + 8 * (dm - 1))) / (2 * (dm - 1))
+            assert abs(strauss_exponent(d) / exact - 1) <= 1e-15
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

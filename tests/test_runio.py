@@ -1,6 +1,7 @@
 """Run configs and monitors.csv: written, read back and hashed."""
 
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -15,10 +16,10 @@ from blowuplab.exponents import ModelParams
 from blowuplab.functionals import MONITOR_COLUMNS, MonitorSeries
 from blowuplab.runio import (
     CSV_COLUMNS,
+    config_from_dict,
     config_hash,
+    config_to_dict,
     read_series_csv,
-    sim_config_from_dict,
-    sim_config_to_dict,
     write_series_csv,
 )
 from blowuplab.solver import InitialProfile, SimConfig
@@ -95,15 +96,48 @@ def test_non_integral_integer_field_is_named_not_truncated(field, value):
     doc = json.loads(json.dumps(RUN_DOC))
     (doc["params"] if field in doc["params"] else doc)[field] = value
     with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got "):
-        sim_config_from_dict(doc)
+        config_from_dict(SimConfig, doc, "run config")
 
 
 def test_integral_floats_are_read_as_ints():
     params = dict(RUN_DOC["params"], N=3.0, a=1.0, b=0.0)
-    cfg = sim_config_from_dict(dict(RUN_DOC, params=params, nr=200.0, monitor_stride=5.0))
+    doc = dict(RUN_DOC, params=params, nr=200.0, monitor_stride=5.0)
+    cfg = config_from_dict(SimConfig, doc, "run config")
     fields = (cfg.params.N, cfg.params.a, cfg.params.b, cfg.nr, cfg.monitor_stride)
     assert fields == (3, 1, 0, 200, 5)
     assert all(type(x) is int for x in fields)
+
+
+def test_minimal_run_config_takes_every_default_from_the_dataclass():
+    cfg = config_from_dict(SimConfig, RUN_DOC, "run config")
+    assert (cfg.params, cfg.eps, cfg.L, cfg.nr, cfg.t_max) == (PARAMS, 0.4, 12.0, 200, 10.0)
+    for f in dataclasses.fields(SimConfig):
+        if f.name not in RUN_DOC:
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+            assert getattr(cfg, f.name) == default, f.name
+
+
+@pytest.mark.parametrize("key", ["params", "eps", "L", "nr", "t_max", "N", "mu", "p", "q"])
+def test_missing_required_key_is_named(key):
+    doc = json.loads(json.dumps(RUN_DOC))
+    del (doc["params"] if key in doc["params"] else doc)[key]
+    with pytest.raises(ConfigError, match=rf"^missing key {key!r} in "):
+        config_from_dict(SimConfig, doc, "run config")
+
+
+def test_forcing_is_neither_read_nor_written():
+    cfg = config_from_dict(SimConfig, dict(RUN_DOC, forcing="x"), "run config")
+    assert cfg.forcing is None
+    forced = dataclasses.replace(cfg, forcing=lambda r, t: 0.0 * r)
+    assert "forcing" not in config_to_dict(forced)
+    assert config_to_dict(forced) == config_to_dict(cfg)
+
+
+def test_keys_that_are_not_fields_are_ignored():
+    doc = dict(RUN_DOC, eps_list=[0.4, 0.2], refine=2, tau=0.25)
+    assert config_from_dict(SimConfig, doc, "run config") == config_from_dict(
+        SimConfig, RUN_DOC, "run config"
+    )
 
 
 _POSITIVE = hs.floats(1e-6, 1e6, allow_subnormal=False)
@@ -162,8 +196,8 @@ def _replaced(obj, path, value):
 @settings(max_examples=200, deadline=None)
 @given(_sim_configs(), hs.integers(0, 2**32 - 1))
 def test_run_config_round_trip_and_hash(cfg, seed):
-    d = sim_config_to_dict(cfg)
-    assert sim_config_from_dict(json.loads(json.dumps(d))) == cfg
+    d = config_to_dict(cfg)
+    assert config_from_dict(SimConfig, json.loads(json.dumps(d)), "run config") == cfg
     assert config_hash(_shuffled(d, random.Random(seed))) == config_hash(d)
     for path, leaf in _leaves(d):
         other = leaf + "x" if isinstance(leaf, str) else 2 * leaf + 1
