@@ -46,7 +46,6 @@ from .solver import (
     time_step,
 )
 from .specfun import (
-    BesselEvalConfig,
     TestFunctionContext,
     bessel_k,
     log_bessel_k,

@@ -20,7 +20,7 @@ import numpy as np
 from . import exponents, functionals, runio, specfun
 from .errors import BlowupLabError, ConfigError
 from .lifespan import DEFAULT_TAU, compare_to_theory, fit_exponential_law, fit_power_law, sweep
-from .solver import SimConfig, run
+from .solver import InitialProfile, SimConfig, run
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -161,12 +161,13 @@ def _cmd_verify(args) -> int:
         exponents.ModelParams, runio._require(config, "params", "manifest config"), "params"
     )
     profile = runio._require(config, "profile", "manifest config")
-    R = runio.number(runio._require(profile, "R", "manifest profile"), "manifest profile.R")
+    runio._require(profile, "R", "manifest profile")
+    profile = runio.config_from_dict(InitialProfile, profile, "manifest profile")
     eps = runio.number(runio._require(config, "eps", "manifest config"), "manifest eps")
     if not math.isfinite(eps):
         raise ConfigError(f"manifest eps must be finite, got {eps}")
     series = runio.read_series_csv(run_dir / "monitors.csv")
-    ctx = specfun.TestFunctionContext(N=params.N, mu=params.mu, R=R)
+    ctx = specfun.TestFunctionContext(N=params.N, mu=params.mu, R=profile.R)
 
     ratios = [functionals.lemma31_ratio(ctx, t, 2.0) for t in np.linspace(0.0, 30.0, 31)]
     ref = functionals.lemma31_ratio(ctx, 5.0, 2.0)

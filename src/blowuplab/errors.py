@@ -9,10 +9,6 @@ class DomainError(BlowupLabError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class AccuracyError(BlowupLabError, RuntimeError):
-    """A quadrature failed to reach the requested tolerance within budget."""
-
-
 class ConfigError(BlowupLabError, ValueError):
     """A configuration object or file violates its invariants."""
 

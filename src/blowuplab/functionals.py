@@ -89,23 +89,29 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def snapshot_weights(n: int, h: float, N: int) -> np.ndarray:
+    """Trapezoid weights times r^{N-1} on the first n cells of the grid."""
+    return _trapezoid_weights(n, h) * (np.arange(n) * h) ** (N - 1)
+
+
 def compute_snapshot(
     state: "State",
     ctx: TestFunctionContext,
     params: ModelParams,
     log_phi_grid: Optional[np.ndarray] = None,
+    weights: Optional[np.ndarray] = None,
 ) -> FunctionalSnapshot:
-    """All functional values at one state, trapezoid rule on the solver grid."""
+    """All functional values at one state, trapezoid rule on the solver grid.
+
+    log_phi_grid and weights (snapshot_weights of the state's length) are
+    built here when not passed.
+    """
     n = state.u.shape[0]
-    h = state.h
-    r = np.arange(n) * h
-    w = _trapezoid_weights(n, h)
     area = surface_area(params.N)
-    rpow = r ** (params.N - 1)
-    wr = w * rpow
+    wr = snapshot_weights(n, state.h, params.N) if weights is None else weights
 
     if log_phi_grid is None:
-        log_phi_grid = log_phi(params.N, r)
+        log_phi_grid = log_phi(params.N, np.arange(n) * state.h)
     lrho = log_rho(ctx, state.t)
     # psi on the grid via log space; bounded since log rho ~ -t + O(log t)
     # while log phi <= r + O(log r) and the support keeps r <= t + R.

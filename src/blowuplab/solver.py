@@ -15,7 +15,12 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, NoBlowUpObservedError, NoTheoremError
 from .exponents import ModelParams, RegionClassification, classify
-from .functionals import MonitorSeries, _trapezoid_weights, compute_snapshot
+from .functionals import (
+    MonitorSeries,
+    _trapezoid_weights,
+    compute_snapshot,
+    snapshot_weights,
+)
 from .specfun import TestFunctionContext, log_phi, surface_area
 
 # Amplitude-scaled dt safety factor near blow-up.
@@ -318,14 +323,17 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
     ctx = TestFunctionContext(N=cfg.params.N, mu=cfg.params.mu, R=cfg.profile.R)
     rows: list[dict] = []
     lphi = np.empty(0)  # log phi on the cells the state has held so far
+    weights = np.empty(0)  # the snapshot weights of the current state length
 
     def record(state: State, amp: float, dt: float) -> None:
-        nonlocal lphi
+        nonlocal lphi, weights
         n = state.u.shape[0]
         if lphi.shape[0] < n:
             new = np.arange(lphi.shape[0], n) * cfg.h
             lphi = np.concatenate((lphi, log_phi(cfg.params.N, new)))
-        snap = compute_snapshot(state, ctx, cfg.params, lphi[:n])
+        if weights.shape[0] != n:
+            weights = snapshot_weights(n, cfg.h, cfg.params.N)
+        snap = compute_snapshot(state, ctx, cfg.params, lphi[:n], weights)
         rows.append(dict(vars(snap), max_abs_u=amp, dt=dt))
 
     state = build_initial_state(cfg)

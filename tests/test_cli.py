@@ -180,6 +180,23 @@ class TestVerify:
         assert err.startswith("config error:") and repr(key) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("R", [-1.0, math.nan, math.inf])
+    def test_verify_out_of_range_manifest_R_exit_2(self, tmp_path, capsys, R):
+        # profile is read as an InitialProfile, whose check applies before
+        # any quadrature runs
+        run_dir = self._solved(tmp_path, capsys)
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["profile"]["R"] = R
+        path.write_text(json.dumps(manifest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "support radius" in err
+        assert not (run_dir / "verify.json").exists()
+
     @pytest.mark.parametrize("cell", ["oops", None], ids=["non-numeric", "missing"])
     def test_verify_bad_monitor_cell_exit_2(self, tmp_path, capsys, cell):
         run_dir = self._solved(tmp_path, capsys)

@@ -173,6 +173,50 @@ class TestSupportWindow:
         assert res_big.t_blowup == res.t_blowup
         np.testing.assert_array_equal(res_big.monitors.G1, res.monitors.G1)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        N=hs.sampled_from([1, 2, 3, 4]),
+        eps=hs.floats(0.05, 3.0),
+        steps=hs.integers(1, 400),
+        stride=hs.sampled_from([1, 3, 10]),
+    )
+    def test_snapshot_weights_reused_bitwise(self, N, eps, steps, stride):
+        # about `steps` steps at h = 0.05; the state starts at 25 cells and
+        # doubles as its support grows, up to 4 times by t = 18
+        params = ModelParams(N=N, mu=0.5, p=2.0, q=2.2, a=1, b=1)
+        cfg = SimConfig(
+            params=params, eps=eps, L=3.2, nr=64, t_max=1.0, monitor_stride=stride
+        )
+        cfg = replace(cfg, t_max=steps * cfg.cfl * cfg.h / math.sqrt(N))
+        snapshot, weights_of = solver.compute_snapshot, solver.snapshot_weights
+        lengths, built = [], []
+
+        def passed(state, ctx, params, log_phi_grid, weights):
+            lengths.append(state.u.shape[0])
+            assert weights.shape[0] == state.u.shape[0]
+            return snapshot(state, ctx, params, log_phi_grid, weights)
+
+        def own(state, ctx, params, log_phi_grid, weights):
+            return snapshot(state, ctx, params, log_phi_grid)
+
+        def counted(n, h, N):
+            built.append(n)
+            return weights_of(n, h, N)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "snapshot_weights", counted)
+            mp.setattr(solver, "compute_snapshot", passed)
+            reused = run(cfg)
+            # one build per state length, when the state first has it
+            assert built == sorted(set(lengths))
+            mp.setattr(solver, "compute_snapshot", own)
+            rebuilt = run(cfg)
+        for name in MONITOR_COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(reused.monitors, name).view(np.uint64),
+                getattr(rebuilt.monitors, name).view(np.uint64),
+            )
+
 
 _cell_values = hs.one_of(
     hs.floats(), hs.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf])
