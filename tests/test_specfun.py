@@ -5,6 +5,7 @@ mpmath's 40-digit Bessel functions, with no shared code paths with the
 package implementation.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -326,3 +327,70 @@ class TestGaussLegendre:
             nodes[0] = 0.0
         with pytest.raises(ValueError):
             weights[0] = 0.0
+
+
+@functools.cache
+def _rule_own_error(steps):
+    """Worst relative error of the steps-step trapezoid rule on [0, _zeta_max],
+    summed at 40 digits so that no rounding enters, over |nu| <= 8 and
+    t in [0.1, 1e4]."""
+    worst = mpmath.mpf(0)
+    with mpmath.workdps(40):
+        for nu in (0.0, 0.5, 2.0, 4.0, 6.0, 8.0):
+            for t in (0.1, 0.3, 1.0, 100.0, 1e4):
+                h = mpmath.mpf(specfun._zeta_max(nu, t)) / steps
+                vals = [
+                    mpmath.exp(-2 * t * mpmath.sinh(k * h / 2) ** 2) * mpmath.cosh(nu * k * h)
+                    for k in range(steps + 1)
+                ]
+                approx = h * (mpmath.fsum(vals) - (vals[0] + vals[-1]) / 2)
+                exact = mpmath.besselk(nu, t) * mpmath.exp(t)
+                worst = max(worst, abs(approx / exact - 1))
+    return worst
+
+
+class TestBatchedQuadrature:
+    """Each K_nu evaluation is one batch: the integrand on the fixed rule's nodes."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The node count of every K_nu evaluation."""
+        seen = []
+        unit_trapezoid = specfun._unit_trapezoid
+
+        def record():
+            nodes, weights = unit_trapezoid()
+            seen.append(nodes.size)
+            return nodes, weights
+
+        monkeypatch.setattr(specfun, "_unit_trapezoid", record)
+        return seen
+
+    @settings(max_examples=100, deadline=None)
+    @given(zmax=hs.floats(1e-8, 1e3))
+    def test_edges_are_linspace(self, zmax):
+        # the scaled unit grid is bitwise the equal-step grid on [0, zmax], and
+        # so is every coarser level of its step doubling
+        nodes = zmax * specfun._unit_trapezoid()[0]
+        for k in range(specfun._KV_STEPS.bit_length()):
+            ref = np.linspace(0.0, zmax, (specfun._KV_STEPS >> k) + 1)
+            assert np.array_equal(nodes[:: 1 << k].view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("steps", [16, 20, 32, 48, 64, 256])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-18])
+    def test_batches_stay_within_budget(self, steps, tol):
+        # The rule's own error (truncation at _zeta_max plus discretisation)
+        # meets an error budget tol exactly from the least step count on this
+        # ladder that meets it: 48 steps for 1e-12, the fixed rule's
+        # _KV_STEPS for 1e-18 (48 steps reach 7.6e-17 at nu = 8, t = 0.1).
+        least = {1e-12: 48, 1e-18: specfun._KV_STEPS}[tol]
+        assert (_rule_own_error(steps) <= tol) == (steps >= least)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 10.0, 100.0])
+    def test_monitor_calls_take_one_batch(self, batches, mu, t):
+        # a snapshot's rho work: three K_nu, each one batch of the fixed rule
+        ctx = TestFunctionContext(N=3, mu=mu)
+        log_rho(ctx, t)
+        rho_log_derivative(ctx, t)
+        assert batches == [specfun._KV_STEPS + 1] * 3
