@@ -164,8 +164,8 @@ def _cmd_verify(args) -> int:
     runio._require(profile, "R", "manifest profile")
     profile = runio.config_from_dict(InitialProfile, profile, "manifest profile")
     eps = runio.number(runio._require(config, "eps", "manifest config"), "manifest eps")
-    if not math.isfinite(eps):
-        raise ConfigError(f"manifest eps must be finite, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ConfigError(f"manifest eps must be finite and nonnegative, got {eps}")
     series = runio.read_series_csv(run_dir / "monitors.csv")
     ctx = specfun.TestFunctionContext(N=params.N, mu=params.mu, R=profile.R)
 

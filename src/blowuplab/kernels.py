@@ -9,21 +9,25 @@ a second-order reconstruction of u_t.
 The kernel works on the solver's support window: its input and output
 arrays hold the first n cells of the radial grid, every cell past the
 active index i_hi is exactly zero, and it updates cells 0..i_hi only.
-`radial_laplacian` is the one discrete Laplacian of the package; the
-solver's Taylor start uses it too. It writes into the caller's `out` with
-`out=` ufuncs, on (dim-1)/r weights precomputed by `radial_coefficients`.
-`advance` builds it straight into u_next, uses v_next and one scratch array
-for the rest, and keeps the operation order of the array expression
+`radial_laplacian` is the one discrete Laplacian of the package: a
+three-point stencil on the per-cell weights (up, down) of `radial_stencil`
+and the centre weight -2/h^2 - shift. The solver's Taylor start uses it
+with shift 0; `advance` folds the level-n terms into the centre weight
+(shift alpha = acc_cur + c vel_cur), builds the rows straight into u_next
+with `out=` ufuncs and keeps the operation order (sums left to right) of
 
-    lap    = ((u2 - 2 u1) + u0)/h^2 + (g (u2 - u0))/(2h)
-    u_next = ((((lap + (a|v|^p + b|u|^q)) + forcing) - (acc_cur + c vel_cur) u)
-              - (acc_old + c vel_old) u_prev) / denom
-    v_next = (u_next - u)/dt + (dt/2) ((acc_new u_next + acc_cur u) + acc_old u_prev)
+    u_next = (up u_{i+1} + down u_{i-1} + centre u_i + a|v|^p + b|u|^q
+              + forcing - beta u_prev) / denom,     beta = acc_old + c vel_old
+    v_next = k1 u_next + k2 u + k3 u_prev,          k1 = 1/dt + (dt/2) acc_new,
+             k2 = (dt/2) acc_cur - 1/dt,            k3 = (dt/2) acc_old
 
-so its results are bitwise those of that expression. v enters the step only
-through |v|^p, so `advance` takes the state's magnitudes (|u|, |v|), which
-the solver has already taken for its amplitude checks, in place of v; it
-skips the products by a and b when they are 1.0, as x * 1.0 == x exactly.
+so its results are bitwise those of that expression. It regroups the terms
+of lap = ((u_{i+1} - 2u_i) + u_{i-1})/h^2 + ((dim-1)/r)(u_{i+1} - u_{i-1})/(2h)
+and v_next = (u_next - u)/dt + (dt/2)(acc_new u_next + acc_cur u + acc_old u_prev),
+so it agrees with them to rounding. v enters the step only through |v|^p,
+so `advance` takes the state's magnitudes (|u|, |v|), which the solver has
+already taken for its amplitude checks, in place of v; it skips the
+products by a and b when they are 1.0, as x * 1.0 == x exactly.
 """
 
 from __future__ import annotations
@@ -45,35 +49,36 @@ def _step_coeffs(t, dt, dt_prev, mu):
     return c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom
 
 
-def radial_coefficients(dim, h, n):
-    """(dim - 1)/r at cells 1..n, the first-derivative weights of the Laplacian."""
-    return (dim - 1.0) / (np.arange(1, n + 1) * h)
+def radial_stencil(dim, h, n):
+    """(up, down), the weights of u_{i+1} and u_{i-1} in the radial Laplacian
+    at cells i = 1..n: 1/h^2 + (dim-1)/(2 i h^2) and 1/h^2 - (dim-1)/(2 i h^2)."""
+    inv = 1.0 / (h * h)
+    half = (dim - 1.0) / (np.arange(1, n + 1) * (2.0 * h * h))
+    return inv + half, inv - half
 
 
-def radial_laplacian(u, h, dim, hi, g, out):
-    """u_rr + (dim-1)/r u_r at cells 0..hi, written into and returned as out[:hi+1].
+def radial_laplacian(u, h, dim, hi, stencil, out, scratch, shift=0.0):
+    """u_rr + (dim-1)/r u_r - shift u at cells 0..hi, into and as out[:hi+1].
 
-    u must hold at least hi + 2 cells and g (radial_coefficients) at least hi;
-    out must not overlap u. The origin row is the regularized limit
-    2 dim (u_1 - u_0) / h^2.
+    Row i >= 1 is up u_{i+1} + down u_{i-1} + (-2/h^2 - shift) u_i, on the
+    weights of `radial_stencil`; the origin row is the regularized limit
+    2 dim (u_1 - u_0) / h^2, minus shift u_0. u must hold at least hi + 2
+    cells, scratch and each weight array at least hi; out and scratch must
+    not overlap each other or u.
     """
+    up, down = stencil
     lap = out[: hi + 1]
-    lap[0] = 2.0 * dim * (u[1] - u[0]) / (h * h)
-    u0, u1, u2 = u[0:hi], u[1 : hi + 1], u[2 : hi + 2]
-    rest = lap[1:]
-    np.multiply(u1, 2.0, out=rest)
-    np.subtract(u2, rest, out=rest)
-    rest += u0
-    rest /= h * h
-    drift = np.subtract(u2, u0)
-    drift *= g[:hi]
-    drift /= 2.0 * h
-    rest += drift
+    lap[0] = 2.0 * dim * (u[1] - u[0]) / (h * h) - shift * u[0]
+    rows, tmp = lap[1:], scratch[:hi]
+    np.multiply(up[:hi], u[2 : hi + 2], out=rows)
+    rows += np.multiply(down[:hi], u[0:hi], out=tmp)
+    rows += np.multiply(u[1 : hi + 1], -2.0 / (h * h) - shift, out=tmp)
     return lap
 
 
 def advance(
-    u, u_prev, mags, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi, g=None
+    u, u_prev, mags, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi,
+    stencil=None,
 ):
     """One step of the scheme; returns (u_next, v_next), as long as u.
 
@@ -81,9 +86,9 @@ def advance(
     index > i_hi are outside the active support window and stay exactly
     zero; the last cell of the arrays is never updated, so in a forced run,
     whose arrays span the whole grid, it is the homogeneous Dirichlet
-    boundary. `forcing` is None for the unforced equation; g is
-    radial_coefficients(dim, h, k) for some k >= min(i_hi, n - 2), built
-    here when absent. The inputs are only read.
+    boundary. `forcing` is None for the unforced equation; stencil is
+    radial_stencil(dim, h, k) for some k >= min(i_hi, n - 2), built here
+    when absent. The inputs are only read.
     """
     n = u.shape[0]
     c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom = _step_coeffs(
@@ -91,34 +96,29 @@ def advance(
     )
     hi = min(i_hi, n - 2)
     m = hi + 1
-    if g is None:
-        g = radial_coefficients(dim, h, hi)
+    if stencil is None:
+        stencil = radial_stencil(dim, h, hi)
     uw, pw = u[:m], u_prev[:m]
     mag_u, mag_v = mags
 
-    u_next = np.zeros(n)
-    v_next = np.zeros(n)
-    rhs = radial_laplacian(u, h, dim, hi, g, u_next)
-    src, tmp = v_next[:m], np.empty(m)
-    np.power(mag_v[:m], p, out=src)
+    u_next, v_next, tmp = np.empty(n), np.empty(n), np.empty(m)
+    u_next[m:] = v_next[m:] = 0.0
+    rhs = radial_laplacian(u, h, dim, hi, stencil, u_next, tmp, acc_cur + c * vel_cur)
+    np.power(mag_v[:m], p, out=tmp)
     if a != 1.0:
-        src *= a
+        tmp *= a
+    rhs += tmp
     np.power(mag_u[:m], q, out=tmp)
     if b != 1.0:
         tmp *= b
-    src += tmp
-    rhs += src
+    rhs += tmp
     if forcing is not None:
         rhs += forcing[:m]
-    rhs -= np.multiply(uw, acc_cur + c * vel_cur, out=tmp)
     rhs -= np.multiply(pw, acc_old + c * vel_old, out=tmp)
     rhs /= denom  # rhs is now u_next[:m]
 
-    acc = np.multiply(rhs, acc_new, out=src)
-    acc += np.multiply(uw, acc_cur, out=tmp)
-    acc += np.multiply(pw, acc_old, out=tmp)
-    acc *= 0.5 * dt
-    np.subtract(rhs, uw, out=tmp)
-    tmp /= dt
-    acc += tmp  # acc is now v_next[:m]
+    half = 0.5 * dt
+    vel = np.multiply(rhs, 1.0 / dt + half * acc_new, out=v_next[:m])
+    vel += np.multiply(uw, half * acc_cur - 1.0 / dt, out=tmp)
+    vel += np.multiply(pw, half * acc_old, out=tmp)
     return u_next, v_next

@@ -114,7 +114,7 @@ class State:
     radial grid; every cell past n is zero. The solver keeps n between the
     active window plus its stencil cell and twice that; a forced run's
     window is the whole grid.
-    g, when set, holds kernels.radial_coefficients for cells 1..n - 1 or more.
+    stencil, when set, holds kernels.radial_stencil for cells 1..n - 1 or more.
 
     A state's arrays are never modified after construction: each step and
     each regrowth builds a new State. That is what lets `mags` be taken once
@@ -130,7 +130,7 @@ class State:
     v: np.ndarray  # second-order u_t reconstruction at the current level
     step: int
     h: float
-    g: Optional[np.ndarray] = None
+    stencil: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @functools.cached_property
     def mags(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +193,8 @@ def _padded(a: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
 
 
 def _cover(state: State, cfg: SimConfig, hi: int) -> State:
-    """state, zero-padded if needed so that it holds cells 0..hi + 1, with g
-    covering its n - 1 interior cells.
+    """state, zero-padded if needed so that it holds cells 0..hi + 1, with its
+    stencil weights covering its n - 1 interior cells.
 
     The length grows geometrically (x2), so the number of regrowths is
     logarithmic and the length stays within twice the window. A forced run
@@ -209,9 +209,9 @@ def _cover(state: State, cfg: SimConfig, hi: int) -> State:
             u_prev=_padded(state.u_prev, n),
             v=_padded(state.v, n),
         )
-    if state.g is None or state.g.shape[0] < n - 1:
-        g = kernels.radial_coefficients(cfg.params.N, cfg.h, n - 1)
-        state = replace(state, g=g)
+    if state.stencil is None or state.stencil[0].shape[0] < n - 1:
+        stencil = kernels.radial_stencil(cfg.params.N, cfg.h, n - 1)
+        state = replace(state, stencil=stencil)
     return state
 
 
@@ -264,7 +264,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         mag_u, mag_v = state.mags
         src = a * mag_v[w] ** params.p + b * mag_u[w] ** params.q
         acc = kernels.radial_laplacian(
-            state.u, cfg.h, params.N, hi, state.g, np.empty(hi + 1)
+            state.u, cfg.h, params.N, hi, state.stencil, np.empty(hi + 1), np.empty(hi)
         )
         acc = acc - params.mu * v0 + src
         if forcing is not None:
@@ -275,7 +275,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         v1[w] = v0 + dt * acc
         return State(
             t=t_next, dt_prev=dt, u=u1, u_prev=state.u, v=v1, step=1, h=cfg.h,
-            g=state.g,
+            stencil=state.stencil,
         )
 
     u_next, v_next = kernels.advance(
@@ -294,7 +294,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         params.p,
         params.q,
         hi,
-        state.g,
+        state.stencil,
     )
     return State(
         t=t_next,
@@ -304,7 +304,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         v=v_next,
         step=state.step + 1,
         h=cfg.h,
-        g=state.g,
+        stencil=state.stencil,
     )
 
 

@@ -225,7 +225,7 @@ class TestVerify:
         assert err.startswith("config error:") and "Traceback" not in err
         assert field in err and (value is None or repr(value) in err)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
     def test_verify_non_finite_manifest_eps_exit_2(self, tmp_path, capsys, value):
         run_dir = self._solved(tmp_path, capsys)
         path = run_dir / "manifest.json"

@@ -217,6 +217,56 @@ class TestSupportWindow:
                 getattr(rebuilt.monitors, name).view(np.uint64),
             )
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        N=hs.sampled_from([1, 2, 3, 4]),
+        eps=hs.floats(0.05, 3.0),
+        steps=hs.integers(2, 400),
+    )
+    def test_stencil_weights_reused_bitwise(self, N, eps, steps):
+        # as above: a run whose state regrows builds the Laplacian's stencil
+        # weights once per state length and steps as if the kernel built
+        # its own on every call
+        params = ModelParams(N=N, mu=0.5, p=2.0, q=2.2, a=1, b=1)
+        cfg = SimConfig(params=params, eps=eps, L=3.2, nr=64, t_max=1.0)
+        cfg = replace(cfg, t_max=steps * cfg.cfl * cfg.h / math.sqrt(N))
+        cover, stencil_of, advance = solver._cover, kernels.radial_stencil, kernels.advance
+        lengths, built = [], []
+
+        def recording_cover(*args):
+            state = cover(*args)
+            lengths.append(state.u.shape[0])
+            return state
+
+        def counted(dim, h, n):
+            built.append(n)
+            return stencil_of(dim, h, n)
+
+        def passed(*args):
+            assert args[15][0].shape[0] == args[0].shape[0] - 1
+            return advance(*args)
+
+        def own(*args):
+            return advance(*args[:15])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_cover", recording_cover)
+            mp.setattr(kernels, "radial_stencil", counted)
+            mp.setattr(kernels, "advance", passed)
+            reused = run(cfg)
+            # one build per state length, when the state first has it
+            assert built == sorted({n - 1 for n in lengths})
+            mp.setattr(kernels, "advance", own)
+            rebuilt = run(cfg)
+        assert (reused.outcome, reused.t_blowup, reused.steps) == (
+            rebuilt.outcome, rebuilt.t_blowup, rebuilt.steps
+        )
+        for name in MONITOR_COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(reused.monitors, name).view(np.uint64),
+                getattr(rebuilt.monitors, name).view(np.uint64),
+            )
+
 
 _cell_values = hs.one_of(
     hs.floats(), hs.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf])
