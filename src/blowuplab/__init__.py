@@ -22,6 +22,7 @@ from .functionals import (
     coercivity_report,
     compute_snapshot,
     lemma31_ratio,
+    monitor_series,
     residual_F,
 )
 from .lifespan import (

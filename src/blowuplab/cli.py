@@ -170,7 +170,7 @@ def _cmd_verify(args) -> int:
     ctx = specfun.TestFunctionContext(N=params.N, mu=params.mu, R=profile.R)
 
     ratios = [functionals.lemma31_ratio(ctx, t, 2.0) for t in np.linspace(0.0, 30.0, 31)]
-    ref = functionals.lemma31_ratio(ctx, 5.0, 2.0)
+    ref = ratios[5]  # t = 5.0 exactly
     lemma_ok = max(ratios) <= 10.0 * ref
 
     try:

@@ -5,14 +5,16 @@ G1 = int u psi dx and G2 = int u_t psi dx, Gamma(t), and the nonlinear
 integrals; verifies the F'' identity and desk-scale versions of the
 integral bound and coercivity lemmas.
 
-All psi-weighted integrands are assembled in log space (log rho + log phi
-per point, exponentiated only after the e^{+-t} factors cancel), so they
-stay representable far past where rho(t) * phi(r) would overflow naively.
+A snapshot takes the psi-weighted integrals against phi(r) e^{-t}, below
+about e^R on the cells that can be nonzero (r <= t + R), so no zero-padded
+tail overflows; monitor_series scales them by e^t rho(t) and forms Gamma with
+one log_rho and one rho_log_derivative call over a run's snapshot times.
 The radial quadratures of c_fg and lemma31_ratio take specfun's fixed rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
@@ -37,22 +39,35 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class FunctionalSnapshot:
+    """The state integrals at one time; u_phi and v_phi are int u phi e^{-t} dx
+    and int u_t phi e^{-t} dx. G1, G2 and Gamma come from monitor_series."""
+
+    ctx: TestFunctionContext
     t: float
+    max_abs_u: float
     F: float
     G: float
-    G1: float
-    G2: float
-    Gamma: float
+    u_phi: float
+    v_phi: float
     int_ut_p: float
     int_u_q: float
+    dt: float
+
+    @functools.cached_property
+    def _series(self) -> "MonitorSeries":
+        return monitor_series(self.ctx, [self])
+
+    G1 = property(lambda self: float(self._series.G1[0]))
+    G2 = property(lambda self: float(self._series.G2[0]))
+    Gamma = property(lambda self: float(self._series.Gamma[0]))
 
 
 @dataclass(frozen=True)
 class MonitorSeries:
     """Time series of the monitored functionals (one row per snapshot).
 
-    Its fields are the one monitor schema: the collector in `solver.run`,
-    the columns of monitors.csv and their reader all follow this list.
+    Its fields are the one monitor schema: FunctionalSnapshot, the columns
+    of monitors.csv and their reader all follow this list.
     """
 
     t: np.ndarray
@@ -69,18 +84,23 @@ class MonitorSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    @classmethod
-    def from_rows(cls, rows) -> "MonitorSeries":
-        """One series from a list of dicts keyed by MONITOR_COLUMNS."""
-        return cls(
-            **{
-                name: np.array([row[name] for row in rows], dtype=float)
-                for name in MONITOR_COLUMNS
-            }
-        )
-
 
 MONITOR_COLUMNS = tuple(f.name for f in fields(MonitorSeries))
+
+
+def monitor_series(ctx: TestFunctionContext, snapshots: list) -> MonitorSeries:
+    """A run's series from its snapshots: G1, G2 and Gamma take rho from one
+    log_rho and one rho_log_derivative call over the snapshot times."""
+    if not snapshots:  # an unmonitored run takes no rho work
+        return MonitorSeries(*[np.empty(0)] * len(MONITOR_COLUMNS))
+    col = {
+        f.name: np.array([getattr(s, f.name) for s in snapshots], dtype=float)
+        for f in fields(FunctionalSnapshot) if f.name != "ctx"
+    }
+    t, u_phi, v_phi = col["t"], col.pop("u_phi"), col.pop("v_phi")
+    scale = np.exp(log_rho(ctx, t) + t)  # e^t rho(t), from phi e^{-t} to psi
+    gamma = ctx.mu / (1.0 + t) - 2.0 * rho_log_derivative(ctx, t)
+    return MonitorSeries(**col, G1=scale * u_phi, G2=scale * v_phi, Gamma=gamma)
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -101,31 +121,33 @@ def compute_snapshot(
     log_phi_grid: Optional[np.ndarray] = None,
     weights: Optional[np.ndarray] = None,
 ) -> FunctionalSnapshot:
-    """All functional values at one state, trapezoid rule on the solver grid.
+    """The integrals, max|u| and last dt of one state; trapezoid rule on its grid.
 
-    log_phi_grid and weights (snapshot_weights of the state's length) are
-    built here when not passed.
+    weights (snapshot_weights of the state's length) serve F, G and the
+    nonlinear integrals; the psi-weighted ones take the cells of log_phi_grid,
+    which the caller cuts to the cells of u and v that can be nonzero. Either
+    is built here when not passed, log_phi_grid up to the last nonzero cell.
     """
     n = state.u.shape[0]
     area = surface_area(params.N)
     wr = snapshot_weights(n, state.h, params.N) if weights is None else weights
-
+    mag_u, mag_v = state.mags
     if log_phi_grid is None:
-        log_phi_grid = log_phi(params.N, np.arange(n) * state.h)
-    lrho = log_rho(ctx, state.t)
-    # psi on the grid via log space; bounded since log rho ~ -t + O(log t)
-    # while log phi <= r + O(log r) and the support keeps r <= t + R.
-    psi_grid = np.exp(lrho + log_phi_grid)
+        m = int(np.flatnonzero(mag_u + mag_v).max(initial=-1)) + 1
+        log_phi_grid = log_phi(params.N, np.arange(m) * state.h)
+    m = log_phi_grid.shape[0]
+    # phi(r) e^{-t} is about e^{r - t}, bounded since the support keeps r <= t + R
+    phi_t = np.exp(log_phi_grid - state.t)
 
     F = area * float(np.dot(wr, state.u))
     G = (1.0 + state.t) ** (params.mu / 2.0) * F
-    G1 = area * float(np.dot(wr, state.u * psi_grid))
-    G2 = area * float(np.dot(wr, state.v * psi_grid))
-    mag_u, mag_v = state.mags
+    u_phi = area * float(np.dot(wr[:m], state.u[:m] * phi_t))
+    v_phi = area * float(np.dot(wr[:m], state.v[:m] * phi_t))
     int_ut_p = area * float(np.dot(wr, mag_v ** params.p))
     int_u_q = area * float(np.dot(wr, mag_u ** params.q))
-    gamma = params.mu / (1.0 + state.t) - 2.0 * rho_log_derivative(ctx, state.t)
-    return FunctionalSnapshot(state.t, F, G, G1, G2, gamma, int_ut_p, int_u_q)
+    return FunctionalSnapshot(
+        ctx, state.t, state.amps[0], F, G, u_phi, v_phi, int_ut_p, int_u_q, state.dt_prev
+    )
 
 
 def c_fg(ctx: TestFunctionContext, profile: "InitialProfile", eps: float) -> float:

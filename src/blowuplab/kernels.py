@@ -21,13 +21,14 @@ with `out=` ufuncs and keeps the operation order (sums left to right) of
     v_next = k1 u_next + k2 u + k3 u_prev,          k1 = 1/dt + (dt/2) acc_new,
              k2 = (dt/2) acc_cur - 1/dt,            k3 = (dt/2) acc_old
 
-so its results are bitwise those of that expression. It regroups the terms
-of lap = ((u_{i+1} - 2u_i) + u_{i-1})/h^2 + ((dim-1)/r)(u_{i+1} - u_{i-1})/(2h)
+so its results equal those of that expression, bitwise but for the sign
+of exact zeros: a and b are the model's flags, 0 or 1 (ModelParams), and a
+term whose flag is 0 is skipped, not added as 0. It regroups the terms of
+lap = ((u_{i+1} - 2u_i) + u_{i-1})/h^2 + ((dim-1)/r)(u_{i+1} - u_{i-1})/(2h)
 and v_next = (u_next - u)/dt + (dt/2)(acc_new u_next + acc_cur u + acc_old u_prev),
 so it agrees with them to rounding. v enters the step only through |v|^p,
 so `advance` takes the state's magnitudes (|u|, |v|), which the solver has
-already taken for its amplitude checks, in place of v; it skips the
-products by a and b when they are 1.0, as x * 1.0 == x exactly.
+already taken for its amplitude checks, in place of v.
 """
 
 from __future__ import annotations
@@ -104,14 +105,10 @@ def advance(
     u_next, v_next, tmp = np.empty(n), np.empty(n), np.empty(m)
     u_next[m:] = v_next[m:] = 0.0
     rhs = radial_laplacian(u, h, dim, hi, stencil, u_next, tmp, acc_cur + c * vel_cur)
-    np.power(mag_v[:m], p, out=tmp)
-    if a != 1.0:
-        tmp *= a
-    rhs += tmp
-    np.power(mag_u[:m], q, out=tmp)
-    if b != 1.0:
-        tmp *= b
-    rhs += tmp
+    if a:
+        rhs += np.power(mag_v[:m], p, out=tmp)
+    if b:
+        rhs += np.power(mag_u[:m], q, out=tmp)
     if forcing is not None:
         rhs += forcing[:m]
     rhs -= np.multiply(pw, acc_old + c * vel_old, out=tmp)

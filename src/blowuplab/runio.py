@@ -153,20 +153,21 @@ def write_series_csv(path: Path, series: MonitorSeries, params: ModelParams) -> 
 
 
 def read_series_csv(path) -> MonitorSeries:
-    with open(path) as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in MONITOR_COLUMNS if name not in (reader.fieldnames or ())]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in MONITOR_COLUMNS if name not in header]
         if missing:
             raise ConfigError(f"{path}: missing monitor column(s) {', '.join(missing)}")
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            try:
-                rows.append({name: float(row[name]) for name in MONITOR_COLUMNS})
-            except (TypeError, ValueError):
-                for name in MONITOR_COLUMNS:  # name the first bad cell
-                    number(row[name], f"{path} row {i} column {name!r}")
-                raise
-    return MonitorSeries.from_rows(rows)
+        index = [header.index(name) for name in MONITOR_COLUMNS]
+        rows = [row for row in reader if row]  # blank lines are skipped
+    try:
+        return MonitorSeries(*(np.array([float(row[j]) for row in rows]) for j in index))
+    except (IndexError, ValueError):
+        for i, row in enumerate(rows, start=1):  # name the first bad cell
+            for name, j in zip(MONITOR_COLUMNS, index):
+                number(row[j] if j < len(row) else None, f"{path} row {i} column {name!r}")
+        raise
 
 
 def default_out_dir(cli_value=None) -> Path:

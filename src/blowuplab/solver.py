@@ -19,6 +19,7 @@ from .functionals import (
     MonitorSeries,
     _trapezoid_weights,
     compute_snapshot,
+    monitor_series,
     snapshot_weights,
 )
 from .specfun import TestFunctionContext, log_phi, surface_area
@@ -321,11 +322,11 @@ def discrete_energy(state: State, cfg: SimConfig) -> float:
 def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
     """Iterate time_step until blow-up, t >= t_max, or instability."""
     ctx = TestFunctionContext(N=cfg.params.N, mu=cfg.params.mu, R=cfg.profile.R)
-    rows: list[dict] = []
+    snaps = []
     lphi = np.empty(0)  # log phi on the cells the state has held so far
     weights = np.empty(0)  # the snapshot weights of the current state length
 
-    def record(state: State, amp: float, dt: float) -> None:
+    def record(state: State) -> None:
         nonlocal lphi, weights
         n = state.u.shape[0]
         if lphi.shape[0] < n:
@@ -333,13 +334,13 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
             lphi = np.concatenate((lphi, log_phi(cfg.params.N, new)))
         if weights.shape[0] != n:
             weights = snapshot_weights(n, cfg.h, cfg.params.N)
-        snap = compute_snapshot(state, ctx, cfg.params, lphi[:n], weights)
-        rows.append(dict(vars(snap), max_abs_u=amp, dt=dt))
+        window = lphi[: _active_hi(cfg, state.t) + 2]  # active window, stencil cell
+        snaps.append(compute_snapshot(state, ctx, cfg.params, window, weights))
 
     state = build_initial_state(cfg)
     amp0 = state.amps[0]
     if monitor:
-        record(state, amp0, 0.0)
+        record(state)
 
     outcome, t_blow, reason = "reached_tmax", None, ""
     while state.t < cfg.t_max:
@@ -354,19 +355,19 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
             break
         amp = state.amps[0]
         if monitor and state.step % cfg.monitor_stride == 0:
-            record(state, amp, state.dt_prev)
+            record(state)
         if amp0 > 0 and amp >= cfg.blowup_threshold * amp0:
             outcome, t_blow = "blowup", state.t
             reason = f"amplitude reached {cfg.blowup_threshold:g} x initial"
             break
 
     if monitor and state.finite() and state.step % cfg.monitor_stride != 0:
-        record(state, state.amps[0], state.dt_prev)
+        record(state)
     return RunResult(
         outcome=outcome,
         t_blowup=t_blow,
         reason=reason,
-        monitors=MonitorSeries.from_rows(rows),
+        monitors=monitor_series(ctx, snaps),
         h=cfg.h,
         steps=state.step,
         amp0=amp0,

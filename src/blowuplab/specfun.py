@@ -82,15 +82,15 @@ class TestFunctionContext:
             raise DomainError(f"support radius must be positive, got {self.R}")
 
 
-def _zeta_max(nu: float, t: float) -> float:
+def _zeta_max(nu: float, t):
     # Truncate where exp(-t(cosh z - 1)) * cosh(nu z) is negligible relative
     # to the scaled integral (which is >= O(sqrt(pi/2t)) for large t); the
     # decay is capped at 745, where e^{-decay} falls below the smallest double.
     decay = min(745.0, 60.0 + 20.0 * abs(nu))
-    return math.acosh(1.0 + decay / t)
+    return np.arccosh(1.0 + decay / t)
 
 
-def _kv_scaled(nu: float, t: float) -> float:
+def _kv_scaled(nu: float, t):
     """I(nu, t) = e^t K_nu(t) = int_0^inf e^{-t(cosh z - 1)} cosh(nu z) dz.
 
     The trapezoid rule with _KV_STEPS equal steps on [0, _zeta_max]. The
@@ -101,13 +101,16 @@ def _kv_scaled(nu: float, t: float) -> float:
     against 40-digit mpmath, the relative error is at most 1.3e-15 for
     |nu| <= 4 and 3.3e-15 for |nu| <= 8. The rule's own error is far smaller:
     the rest is the rounding of the integrand, whose arguments grow with |nu|.
-    The result is even in nu, bitwise.
+    t may be an array (a float gives a float): each t sums its nodes along its
+    own row, bitwise alike in a batch of any size. It is even in nu, bitwise.
     """
+    t = np.asarray(t, dtype=float)
     zmax = _zeta_max(nu, t)
     nodes, weights = _unit_trapezoid()
-    z = zmax * nodes
-    vals = np.exp(-2.0 * t * np.sinh(0.5 * z) ** 2) * np.cosh(nu * z)
-    return zmax * float(np.dot(weights, vals))
+    z = zmax[..., None] * nodes
+    vals = np.exp(-2.0 * t[..., None] * np.sinh(0.5 * z) ** 2) * np.cosh(nu * z)
+    out = zmax * np.add.reduce(vals * weights, axis=-1)
+    return out if out.ndim else float(out)
 
 
 def bessel_k(nu: float, t: float) -> float:
@@ -117,11 +120,11 @@ def bessel_k(nu: float, t: float) -> float:
     return math.exp(-t) * _kv_scaled(nu, t)
 
 
-def log_bessel_k(nu: float, t: float) -> float:
-    """log K_nu(t); representable even where K itself underflows."""
-    if t <= 0:
+def log_bessel_k(nu: float, t):
+    """log K_nu(t), t a float or an array; representable where K underflows."""
+    if np.any(t <= 0):
         raise DomainError(f"argument must be positive, got t={t}")
-    return -t + math.log(_kv_scaled(nu, t))
+    return -t + np.log(_kv_scaled(nu, t))
 
 
 def _sphere_area(n: int) -> float:
@@ -180,21 +183,21 @@ def rho(ctx: TestFunctionContext, t: float) -> float:
     return (t + 1.0) ** ((ctx.mu + 1.0) / 2.0) * bessel_k(nu, t + 1.0)
 
 
-def log_rho(ctx: TestFunctionContext, t: float) -> float:
-    """log rho(t); use for t large enough that e^{-t} underflows."""
-    if t < 0:
+def log_rho(ctx: TestFunctionContext, t):
+    """log rho(t), t a float or an array; use where e^{-t} underflows."""
+    if np.any(t < 0):
         raise DomainError(f"time must be nonnegative, got {t}")
     nu = (ctx.mu - 1.0) / 2.0
-    return ((ctx.mu + 1.0) / 2.0) * math.log(t + 1.0) + log_bessel_k(nu, t + 1.0)
+    return ((ctx.mu + 1.0) / 2.0) * np.log(t + 1.0) + log_bessel_k(nu, t + 1.0)
 
 
-def rho_log_derivative(ctx: TestFunctionContext, t: float) -> float:
-    """rho'(t)/rho(t) via the exact Bessel-ratio identity.
+def rho_log_derivative(ctx: TestFunctionContext, t):
+    """rho'(t)/rho(t), t a float or an array, via the exact Bessel-ratio identity.
 
     Equals mu/(1+t) - K_{(mu+1)/2}(t+1) / K_{(mu-1)/2}(t+1); the scaled
     integrals are used so the e^{-t} factors cancel analytically.
     """
-    if t < 0:
+    if np.any(t < 0):
         raise DomainError(f"time must be nonnegative, got {t}")
     hi = _kv_scaled((ctx.mu + 1.0) / 2.0, t + 1.0)
     lo = _kv_scaled((ctx.mu - 1.0) / 2.0, t + 1.0)

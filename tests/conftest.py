@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 import blowuplab.solver
 import blowuplab.specfun
 from blowuplab.exponents import lifespan_exponent
-from blowuplab.functionals import MonitorSeries
+from blowuplab.functionals import MONITOR_COLUMNS, MonitorSeries
 from blowuplab.solver import RunResult
 
 # Not a test class despite the name.
@@ -20,7 +21,7 @@ def fake_runs(monkeypatch):
 
     def install(unstable=()):
         def fake_run(cfg, monitor=True):
-            empty = MonitorSeries.from_rows([])
+            empty = MonitorSeries(*[np.empty(0)] * len(MONITOR_COLUMNS))
             if cfg.eps in unstable:
                 return RunResult("unstable", None, "non-finite", empty, cfg.h, 1, cfg.eps)
             t = 2.0 * cfg.eps ** -lifespan_exponent(cfg.params).exponent

@@ -72,11 +72,12 @@ def test_traced_solve_records_every_layer(tmp_path):
     assert m["functionals.compute_snapshot.calls"] > 0
     assert m["functionals.lemma31_ratio.calls"] > 0
     assert m["specfun.log_rho.calls"] > 0
-    # every snapshot's rho work is attributed to specfun: one log_rho and one
-    # rho_log_derivative per snapshot, one log_rho per lemma31_ratio
-    snapshots = m["functionals.compute_snapshot.calls"]
-    assert m["specfun.rho_log_derivative.calls"] == snapshots
-    assert m["specfun.log_rho.calls"] == snapshots + m["functionals.lemma31_ratio.calls"]
+    # every run's rho work is attributed to specfun: one log_rho and one
+    # rho_log_derivative over the array of its snapshot times, and one log_rho
+    # per lemma31_ratio
+    runs = m["solver.runs"]
+    assert m["specfun.rho_log_derivative.calls"] == runs
+    assert m["specfun.log_rho.calls"] == runs + m["functionals.lemma31_ratio.calls"]
     assert m["specfun.log_phi.points"] > 0
     assert m["runio.bytes_written"] > 0
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blowuplab import functionals
+from blowuplab import functionals, solver
 from blowuplab.errors import InsufficientDataError, WindowEmptyError
 from blowuplab.exponents import ModelParams
 from blowuplab.functionals import (
@@ -19,7 +19,7 @@ from blowuplab.functionals import (
     lemma31_ratio,
     residual_F,
 )
-from blowuplab.solver import InitialProfile, SimConfig, build_initial_state, run
+from blowuplab.solver import InitialProfile, SimConfig, State, build_initial_state, run
 from blowuplab.specfun import TestFunctionContext, log_phi, phi, rho, surface_area
 
 
@@ -80,6 +80,57 @@ class TestSnapshot:
         state.t = 50.0
         far = compute_snapshot(state, ctx, params)
         assert far.Gamma == pytest.approx(2.0, abs=0.05)
+
+
+class TestSnapshotWindow:
+    """The psi-weighted integrals cover the cells that can be nonzero, and a
+    run's rho-dependent columns come from one batch over its snapshot times."""
+
+    PARAMS = ModelParams(N=3, mu=0.5, p=1.9, q=2.2, a=1, b=1)
+
+    @staticmethod
+    def _outgoing_state(t, pad, h=0.05, R=1.0):
+        # a bump on |r - t| < R, held on the window r <= t + R plus the
+        # solver's margin, then zero-padded to `pad` times that length
+        n = pad * (int((t + R) / h) + 5)
+        u = InitialProfile(R=R).values(np.abs(np.arange(n) * h - t))
+        return State(t=t, dt_prev=0.0, u=u, u_prev=None, v=0.5 * u, step=0, h=h)
+
+    @pytest.mark.parametrize("t", [650.0, 720.0, 750.0])
+    def test_zero_padded_state_past_exp_overflow(self, t):
+        # exp(log rho + log phi) on the padded tail overflows past t = 710,
+        # and 0 * inf would make G1 and G2 NaN
+        ctx = TestFunctionContext(N=3, mu=0.5, R=1.0)
+        window = compute_snapshot(self._outgoing_state(t, 1), ctx, self.PARAMS)
+        padded = compute_snapshot(self._outgoing_state(t, 2), ctx, self.PARAMS)
+        for name in ("G1", "G2"):
+            value = getattr(padded, name)
+            assert math.isfinite(value) and value > 0.0
+            assert value == pytest.approx(getattr(window, name), rel=1e-14, abs=0.0)
+
+    def test_monitored_run_matches_per_snapshot_evaluation(self, monkeypatch):
+        # each snapshot evaluated alone, on its own log phi, weights and
+        # window, against the run's batched rho columns
+        cfg = SimConfig(
+            params=self.PARAMS, eps=1.2, L=21.0, nr=420, t_max=20.0, monitor_stride=2
+        )
+        snapshot, alone = solver.compute_snapshot, []
+
+        def each(state, ctx, params, log_phi_grid, weights):
+            own = snapshot(state, ctx, params)
+            alone.append((own.G1, own.G2, own.Gamma))
+            return snapshot(state, ctx, params, log_phi_grid, weights)
+
+        monkeypatch.setattr(solver, "compute_snapshot", each)
+        res = run(cfg)
+        assert res.outcome == "blowup" and len(res.monitors) == len(alone) > 50
+        for column, values in zip(("G1", "G2", "Gamma"), np.array(alone).T):
+            np.testing.assert_allclose(getattr(res.monitors, column), values, rtol=1e-14)
+
+    def test_empty_run_series(self):
+        ctx = TestFunctionContext(N=3, mu=0.5, R=1.0)
+        series = functionals.monitor_series(ctx, [])
+        assert len(series) == 0 and series.G1.shape == series.Gamma.shape == (0,)
 
 
 class TestCfg:

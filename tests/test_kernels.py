@@ -243,6 +243,25 @@ def test_advance_matches_expression_form_bitwise(d):
     assert not zu.any() and not zv.any()
 
 
+@settings(max_examples=200, deadline=None)
+@given(d=_step_args, zeros=hs.integers(0, 400), negative=hs.booleans())
+def test_advance_skips_a_source_whose_flag_is_zero(d, zeros, negative):
+    # a term whose flag a or b is 0 is skipped, not added as 0 |.|^p, so the
+    # kernel equals the expression form under ==: only the sign of an exact
+    # zero may differ. The state's last `zeros` cells are zero (of either
+    # sign), as in a solver window whose support ends inside it.
+    n = d["n"]
+    u, u_prev, v, forcing = _random_state(n, np.random.default_rng(d["seed"]))
+    zero = -0.0 if negative else 0.0
+    for x in (u, u_prev, v, forcing):
+        x[n - min(zeros, n) :] = zero
+    if not d["forced"]:
+        forcing = None
+    un, vn = _call(kernels.advance, d, u, u_prev, _mags(u, v), forcing)
+    ru, rv = _call(_reference_advance, d, u, u_prev, v, forcing)
+    assert np.array_equal(un, ru) and np.array_equal(vn, rv)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=hs.integers(4, 400), hi=hs.integers(0, 398), dim=hs.integers(1, 4),
        h=hs.floats(0.005, 0.2), shift=hs.sampled_from([0.0, -3.5e4]),

@@ -349,6 +349,35 @@ def _rule_own_error(steps):
     return worst
 
 
+class TestArrayOfTimes:
+    """rho at an array of times is the scalar rho at each time, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mu=hs.floats(0.0, 6.0),
+        times=hs.lists(hs.floats(0.0, 1e3), min_size=1, max_size=300),
+    )
+    def test_equals_scalar_calls_bitwise(self, mu, times):
+        ctx = TestFunctionContext(N=3, mu=mu)
+        for fn in (log_rho, rho_log_derivative):
+            batch = fn(ctx, np.array(times))
+            alone = np.array([fn(ctx, t) for t in times])
+            assert batch.shape == alone.shape
+            assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
+
+    def test_float_stays_float(self):
+        ctx = TestFunctionContext(N=2, mu=0.5)
+        assert isinstance(specfun._kv_scaled(0.25, 3.0), float)
+        assert isinstance(log_rho(ctx, 3.0), float)
+        assert isinstance(rho_log_derivative(ctx, 3.0), float)
+
+    def test_negative_time_in_array(self):
+        ctx = TestFunctionContext(N=2, mu=0.5)
+        for fn in (log_rho, rho_log_derivative):
+            with pytest.raises(DomainError):
+                fn(ctx, np.array([1.0, -0.5, 2.0]))
+
+
 class TestBatchedQuadrature:
     """Each K_nu evaluation is one batch: the integrand on the fixed rule's nodes."""
 
