@@ -5,10 +5,12 @@ G1 = int u psi dx and G2 = int u_t psi dx, Gamma(t), and the nonlinear
 integrals; verifies the F'' identity and desk-scale versions of the
 integral bound and coercivity lemmas.
 
-A snapshot takes the psi-weighted integrals against phi(r) e^{-t}, below
-about e^R on the cells that can be nonzero (r <= t + R), so no zero-padded
-tail overflows; monitor_series scales them by e^t rho(t) and forms Gamma with
-one log_rho and one rho_log_derivative call over a run's snapshot times.
+A snapshot takes every integral on the cells that can be nonzero (the
+active window r <= t + R plus its stencil cell), so it does no work on the
+zero-padded tail of a stored state, and the psi-weighted ones against
+phi(r) e^{-t}, below about e^R there, so no tail overflows. monitor_series
+scales them by e^t rho(t) and forms Gamma with one log_rho and one
+rho_log_derivative call over a run's snapshot times.
 The radial quadratures of c_fg and lemma31_ratio take specfun's fixed rule.
 """
 
@@ -123,10 +125,10 @@ def compute_snapshot(
 ) -> FunctionalSnapshot:
     """The integrals, max|u| and last dt of one state; trapezoid rule on its grid.
 
-    weights (snapshot_weights of the state's length) serve F, G and the
-    nonlinear integrals; the psi-weighted ones take the cells of log_phi_grid,
-    which the caller cuts to the cells of u and v that can be nonzero. Either
-    is built here when not passed, log_phi_grid up to the last nonzero cell.
+    weights are snapshot_weights of the state's length. Every integral takes
+    the cells of log_phi_grid, which the caller cuts to the cells of u and v
+    that can be nonzero. Either is built here when not passed, log_phi_grid
+    up to the last nonzero cell.
     """
     n = state.u.shape[0]
     area = surface_area(params.N)
@@ -139,12 +141,13 @@ def compute_snapshot(
     # phi(r) e^{-t} is about e^{r - t}, bounded since the support keeps r <= t + R
     phi_t = np.exp(log_phi_grid - state.t)
 
-    F = area * float(np.dot(wr, state.u))
+    w = wr[:m]  # cells past the window are zero and add nothing
+    F = area * float(np.dot(w, state.u[:m]))
     G = (1.0 + state.t) ** (params.mu / 2.0) * F
-    u_phi = area * float(np.dot(wr[:m], state.u[:m] * phi_t))
-    v_phi = area * float(np.dot(wr[:m], state.v[:m] * phi_t))
-    int_ut_p = area * float(np.dot(wr, mag_v ** params.p))
-    int_u_q = area * float(np.dot(wr, mag_u ** params.q))
+    u_phi = area * float(np.dot(w, state.u[:m] * phi_t))
+    v_phi = area * float(np.dot(w, state.v[:m] * phi_t))
+    int_ut_p = area * float(np.dot(w, mag_v[:m] ** params.p))
+    int_u_q = area * float(np.dot(w, mag_u[:m] ** params.q))
     return FunctionalSnapshot(
         ctx, state.t, state.amps[0], F, G, u_phi, v_phi, int_ut_p, int_u_q, state.dt_prev
     )

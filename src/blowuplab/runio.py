@@ -144,12 +144,11 @@ def write_series_csv(path: Path, series: MonitorSeries, params: ModelParams) -> 
         rel = residual_F(series, params).relative
     except InsufficientDataError:
         rel = np.full(len(series), math.nan)
-    cols = [getattr(series, name) for name in MONITOR_COLUMNS] + [rel]
+    # by column: csv.writer's bytes (repr cells, CRLF endings), no per-cell call
+    cols = [getattr(series, name).tolist() for name in MONITOR_COLUMNS] + [rel.tolist()]
+    lines = [",".join(CSV_COLUMNS)] + [",".join(map(repr, row)) for row in zip(*cols)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i in range(len(series)):
-            writer.writerow([_fmt(col[i]) for col in cols])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_series_csv(path) -> MonitorSeries:
@@ -161,8 +160,9 @@ def read_series_csv(path) -> MonitorSeries:
             raise ConfigError(f"{path}: missing monitor column(s) {', '.join(missing)}")
         index = [header.index(name) for name in MONITOR_COLUMNS]
         rows = [row for row in reader if row]  # blank lines are skipped
+    cols = list(zip(*rows)) if rows else [()] * len(header)  # one tuple per column
     try:
-        return MonitorSeries(*(np.array([float(row[j]) for row in rows]) for j in index))
+        return MonitorSeries(*(np.array(cols[j], dtype=float) for j in index))
     except (IndexError, ValueError):
         for i, row in enumerate(rows, start=1):  # name the first bad cell
             for name, j in zip(MONITOR_COLUMNS, index):

@@ -13,9 +13,10 @@ K_nu takes one fixed rule: the trapezoid rule with _KV_STEPS equal steps on
 the truncated range. Its integrand is analytic and decays double
 exponentially, so the rule converges exponentially and needs no adaptivity.
 
-Every other fixed-rule quadrature (phi's sphere average here, c_fg and
-lemma31_ratio in functionals) takes one 256-node Gauss-Legendre rule,
-fixed_rule. Both rules are built on first use.
+phi is in closed form for N = 1 and N = 3 (2 cosh r and 4 pi sinh(r)/r).
+Every other fixed-rule quadrature (phi's sphere average for N = 2 and
+N >= 4 here, c_fg and lemma31_ratio in functionals) takes one 256-node
+Gauss-Legendre rule, fixed_rule. Both rules are built on first use.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def surface_area(N: int) -> float:
 def phi(N: int, r):
     """Radial eigenfunction with Delta phi = phi, phi > 0, increasing in r.
 
-    N = 1 gives e^r + e^{-r}; N >= 2 the sphere average of e^{x.omega}
-    reduced to a 1-D theta integral.
+    N = 1 gives e^r + e^{-r} and N = 3 gives 4 pi sinh(r)/r; every other N
+    the sphere average of e^{x.omega} reduced to a 1-D theta integral.
     """
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got {N}")
@@ -152,6 +153,9 @@ def phi(N: int, r):
         raise DomainError("radius must be nonnegative")
     if N == 1:
         out = 2.0 * np.cosh(r_arr)
+    elif N == 3:  # r = 0 divides by a safe 1.0 and takes the limit 4 pi
+        safe = np.where(r_arr == 0, 1.0, r_arr)
+        out = np.where(r_arr == 0, 4.0 * math.pi, 4.0 * math.pi * np.sinh(safe) / safe)
     else:
         theta, w = fixed_rule(math.pi)
         core = np.exp(r_arr[..., None] * np.cos(theta)) * np.sin(theta) ** (N - 2)
@@ -168,6 +172,10 @@ def log_phi(N: int, r):
         raise DomainError("radius must be nonnegative")
     if N == 1:
         out = r_arr + np.log1p(np.exp(-2.0 * r_arr))
+    elif N == 3:  # log(4 pi sinh(r)/r); r = 0 takes the limit log(4 pi)
+        safe = np.where(r_arr == 0, 1.0, r_arr)
+        inner = safe + np.log(2.0 * math.pi * -np.expm1(-2.0 * safe) / safe)
+        out = np.where(r_arr == 0, math.log(4.0 * math.pi), inner)
     else:
         theta, w = fixed_rule(math.pi)
         core = np.exp(r_arr[..., None] * (np.cos(theta) - 1.0)) * np.sin(theta) ** (N - 2)

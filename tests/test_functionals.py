@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 
 from blowuplab import functionals, solver
@@ -107,6 +109,33 @@ class TestSnapshotWindow:
             value = getattr(padded, name)
             assert math.isfinite(value) and value > 0.0
             assert value == pytest.approx(getattr(window, name), rel=1e-14, abs=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        N=hs.integers(1, 3),
+        cells=hs.lists(hs.tuples(hs.floats(-4.0, 4.0), hs.floats(-4.0, 4.0)), max_size=300),
+        t=hs.floats(0.0, 40.0),
+    )
+    def test_snapshot_does_not_depend_on_padding(self, N, cells, t):
+        # a window of u, v cells plus the zero stencil cell, zero-padded to 2x
+        # and 4x its length: every integral runs over the same cells, bitwise
+        params = replace(self.PARAMS, N=N)
+        ctx = TestFunctionContext(N=N, mu=params.mu, R=1.0)
+        u, v = np.array(cells + [(0.0, 0.0)]).T
+        grid = log_phi(N, np.arange(u.size) * 0.05)  # as the solver cuts it
+
+        def snap(pad, log_phi_grid):
+            zeros = np.zeros((pad - 1) * u.size)
+            state = State(
+                t=t, dt_prev=0.0, u=np.concatenate((u, zeros)), u_prev=None,
+                v=np.concatenate((v, zeros)), step=0, h=0.05,
+            )
+            s = compute_snapshot(state, ctx, params, log_phi_grid)
+            return s.F, s.G, s.u_phi, s.v_phi, s.int_ut_p, s.int_u_q
+
+        for log_phi_grid in (None, grid):
+            window = snap(1, log_phi_grid)
+            assert snap(2, log_phi_grid) == window and snap(4, log_phi_grid) == window
 
     def test_monitored_run_matches_per_snapshot_evaluation(self, monkeypatch):
         # each snapshot evaluated alone, on its own log phi, weights and

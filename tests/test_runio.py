@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import random
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from blowuplab.errors import ConfigError
+from blowuplab.errors import ConfigError, InsufficientDataError
 from blowuplab.exponents import ModelParams
-from blowuplab.functionals import MONITOR_COLUMNS, MonitorSeries
+from blowuplab.functionals import MONITOR_COLUMNS, MonitorSeries, residual_F
 from blowuplab.runio import (
     CSV_COLUMNS,
     config_from_dict,
@@ -67,6 +68,53 @@ def test_round_trip_is_bitwise(tmp_path_factory, series):
     assert tuple(reader.fieldnames) == CSV_COLUMNS
     if len(series) < 5:
         assert all(math.isnan(float(r["residual"])) for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series())
+def test_written_bytes_are_csv_writer_bytes(tmp_path_factory, series):
+    # the format: csv.writer's output of repr cells, with \r\n line endings
+    path = tmp_path_factory.mktemp("csv") / "monitors.csv"
+    with np.errstate(all="ignore"):
+        write_series_csv(path, series, PARAMS)
+        try:
+            rel = residual_F(series, PARAMS).relative
+        except InsufficientDataError:
+            rel = np.full(len(series), math.nan)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(CSV_COLUMNS)
+    cols = [getattr(series, name) for name in MONITOR_COLUMNS] + [rel]
+    for i in range(len(series)):
+        writer.writerow([repr(float(col[i])) for col in cols])
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_header_only_file_reads_as_empty_series(tmp_path):
+    path = tmp_path / "monitors.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\r\n")
+    series = read_series_csv(path)
+    assert isinstance(series, MonitorSeries) and len(series) == 0
+    for name in MONITOR_COLUMNS:
+        column = getattr(series, name)
+        assert column.shape == (0,) and column.dtype == float
+
+
+@pytest.mark.parametrize(
+    "cell, value",
+    [("1_0", 10.0), (" 1.5\t", 1.5), ("infinity", math.inf), ("+nan", math.nan), ("", None)],
+)
+def test_cells_parse_as_python_floats(tmp_path, cell, value):
+    # float()'s semantics; a cell float() rejects is named
+    path = tmp_path / "monitors.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join([cell] * len(CSV_COLUMNS)) + "\n")
+    if value is None:
+        with pytest.raises(ConfigError, match=r"row 1 column 't'"):
+            read_series_csv(path)
+        return
+    series = read_series_csv(path)
+    for name in MONITOR_COLUMNS:
+        assert getattr(series, name).tolist() == pytest.approx([value], nan_ok=True), name
 
 
 @pytest.mark.parametrize("dropped", MONITOR_COLUMNS)

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -170,6 +171,38 @@ class TestPhi:
         # phi(1, r) = 2 cosh r overflows near r = 710; log_phi must not.
         val = log_phi(1, 800.0)
         assert val == pytest.approx(800.0 + math.log(1.0), rel=1e-12)
+
+    def test_three_d_closed_form_against_mpmath(self):
+        # log phi(3, r) = log(4 pi sinh(r)/r), against 40 digits, up to where phi
+        # itself overflows (r = 800) for log_phi and to r = 700 for phi
+        r = np.concatenate(
+            ([0.0, 1e-12, 1e-6, 1e-3], np.linspace(0.01, 60.0, 4000), [100.0, 700.0, 800.0])
+        )
+        got_log, got = log_phi(3, r), phi(3, r[r <= 700.0])
+        with mpmath.workdps(40):
+            for i, x in enumerate(r):
+                x = mpmath.mpf(x)
+                ref = 4 * mpmath.pi * (mpmath.sinh(x) / x if x else 1)
+                assert abs(got_log[i] - mpmath.log(ref)) <= 1e-15 * abs(mpmath.log(ref)), x
+                if x <= 700:
+                    assert abs(got[i] - ref) <= 1e-15 * ref, x
+
+    def test_three_d_origin_exact_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phi(3, 0.0) == 4.0 * math.pi
+            assert log_phi(3, 0.0) == math.log(4.0 * math.pi)
+            r = np.array([0.0, -0.0, 1e-300, 1.0])
+            assert np.all(np.isfinite(phi(3, r))) and np.all(np.isfinite(log_phi(3, r)))
+
+    def test_three_d_fixed_rule_agrees_with_closed_form(self):
+        # the 256-node theta rule that N = 2 and N >= 4 take, summed at N = 3:
+        # phi(3, r) = 2 pi int_0^pi e^{r cos theta} sin theta d theta
+        theta, w = specfun.fixed_rule(math.pi)
+        r = np.linspace(0.0, 60.0, 1201)
+        core = np.exp(r[:, None] * (np.cos(theta) - 1.0)) * np.sin(theta)
+        by_rule = r + np.log(2.0 * math.pi * (core @ w))
+        np.testing.assert_allclose(by_rule, log_phi(3, r), rtol=1e-14, atol=0.0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
