@@ -6,9 +6,10 @@ integrals; verifies the F'' identity and desk-scale versions of the
 integral bound and coercivity lemmas.
 
 A snapshot takes every integral on the cells that can be nonzero (the
-active window r <= t + R plus its stencil cell), so it does no work on the
-zero-padded tail of a stored state, and the psi-weighted ones against
-phi(r) e^{-t}, below about e^R there, so no tail overflows. monitor_series
+active window r <= t + R plus its stencil cell), with the weights and
+log phi of the state's radial grid, so it does no work on the zero-padded
+tail of a stored state, and the psi-weighted ones against phi(r) e^{-t},
+below about e^R there, so no tail overflows. monitor_series
 scales them by e^t rho(t) and forms Gamma with one log_rho and one
 rho_log_derivative call over a run's snapshot times.
 The radial quadratures of c_fg and lemma31_ratio take specfun's fixed rule.
@@ -16,10 +17,9 @@ The radial quadratures of c_fg and lemma31_ratio take specfun's fixed rule.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .specfun import (
     rho,
     rho_log_derivative,
     surface_area,
+    trapezoid_weights,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,7 +45,6 @@ class FunctionalSnapshot:
     """The state integrals at one time; u_phi and v_phi are int u phi e^{-t} dx
     and int u_t phi e^{-t} dx. G1, G2 and Gamma come from monitor_series."""
 
-    ctx: TestFunctionContext
     t: float
     max_abs_u: float
     F: float
@@ -55,21 +55,15 @@ class FunctionalSnapshot:
     int_u_q: float
     dt: float
 
-    @functools.cached_property
-    def _series(self) -> "MonitorSeries":
-        return monitor_series(self.ctx, [self])
-
-    G1 = property(lambda self: float(self._series.G1[0]))
-    G2 = property(lambda self: float(self._series.G2[0]))
-    Gamma = property(lambda self: float(self._series.Gamma[0]))
-
 
 @dataclass(frozen=True)
 class MonitorSeries:
     """Time series of the monitored functionals (one row per snapshot).
 
-    Its fields are the one monitor schema: FunctionalSnapshot, the columns
-    of monitors.csv and their reader all follow this list.
+    Its fields are the one monitor schema: the columns of monitors.csv and
+    their reader follow this list. A FunctionalSnapshot is one row without
+    the rho-dependent G1, G2 and Gamma, and with the u_phi and v_phi that
+    monitor_series scales into G1 and G2.
     """
 
     t: np.ndarray
@@ -97,7 +91,7 @@ def monitor_series(ctx: TestFunctionContext, snapshots: list) -> MonitorSeries:
         return MonitorSeries(*[np.empty(0)] * len(MONITOR_COLUMNS))
     col = {
         f.name: np.array([getattr(s, f.name) for s in snapshots], dtype=float)
-        for f in fields(FunctionalSnapshot) if f.name != "ctx"
+        for f in fields(FunctionalSnapshot)
     }
     t, u_phi, v_phi = col["t"], col.pop("u_phi"), col.pop("v_phi")
     scale = np.exp(log_rho(ctx, t) + t)  # e^t rho(t), from phi e^{-t} to psi
@@ -105,43 +99,26 @@ def monitor_series(ctx: TestFunctionContext, snapshots: list) -> MonitorSeries:
     return MonitorSeries(**col, G1=scale * u_phi, G2=scale * v_phi, Gamma=gamma)
 
 
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 def snapshot_weights(n: int, h: float, N: int) -> np.ndarray:
     """Trapezoid weights times r^{N-1} on the first n cells of the grid."""
-    return _trapezoid_weights(n, h) * (np.arange(n) * h) ** (N - 1)
+    return trapezoid_weights(n, h) * (np.arange(n) * h) ** (N - 1)
 
 
 def compute_snapshot(
-    state: "State",
-    ctx: TestFunctionContext,
-    params: ModelParams,
-    log_phi_grid: Optional[np.ndarray] = None,
-    weights: Optional[np.ndarray] = None,
+    state: "State", ctx: TestFunctionContext, params: ModelParams, m: int
 ) -> FunctionalSnapshot:
     """The integrals, max|u| and last dt of one state; trapezoid rule on its grid.
 
-    weights are snapshot_weights of the state's length. Every integral takes
-    the cells of log_phi_grid, which the caller cuts to the cells of u and v
-    that can be nonzero. Either is built here when not passed, log_phi_grid
-    up to the last nonzero cell.
+    Every integral takes the first m cells, with the weights and log phi of
+    the state's grid; m must cover the cells of u and v that can be nonzero,
+    and the solver passes its active window plus the stencil cell.
     """
-    n = state.u.shape[0]
     area = surface_area(params.N)
-    wr = snapshot_weights(n, state.h, params.N) if weights is None else weights
     mag_u, mag_v = state.mags
-    if log_phi_grid is None:
-        m = int(np.flatnonzero(mag_u + mag_v).max(initial=-1)) + 1
-        log_phi_grid = log_phi(params.N, np.arange(m) * state.h)
-    m = log_phi_grid.shape[0]
     # phi(r) e^{-t} is about e^{r - t}, bounded since the support keeps r <= t + R
-    phi_t = np.exp(log_phi_grid - state.t)
+    phi_t = np.exp(state.grid.log_phi[:m] - state.t)
 
-    w = wr[:m]  # cells past the window are zero and add nothing
+    w = state.grid.weights[:m]  # cells past the window are zero and add nothing
     F = area * float(np.dot(w, state.u[:m]))
     G = (1.0 + state.t) ** (params.mu / 2.0) * F
     u_phi = area * float(np.dot(w, state.u[:m] * phi_t))
@@ -149,7 +126,7 @@ def compute_snapshot(
     int_ut_p = area * float(np.dot(w, mag_v[:m] ** params.p))
     int_u_q = area * float(np.dot(w, mag_u[:m] ** params.q))
     return FunctionalSnapshot(
-        ctx, state.t, state.amps[0], F, G, u_phi, v_phi, int_ut_p, int_u_q, state.dt_prev
+        state.t, state.amps[0], F, G, u_phi, v_phi, int_ut_p, int_u_q, state.dt_prev
     )
 
 

@@ -11,8 +11,10 @@ arrays hold the first n cells of the radial grid, every cell past the
 active index i_hi is exactly zero, and it updates cells 0..i_hi only.
 `radial_laplacian` is the one discrete Laplacian of the package: a
 three-point stencil on the per-cell weights (up, down) of `radial_stencil`
-and the centre weight -2/h^2 - shift. The solver's Taylor start uses it
-with shift 0; `advance` folds the level-n terms into the centre weight
+and the centre weight -2/h^2 - shift. Neither function builds the weights:
+the solver passes those of its state's RadialGrid, built once per state
+length. The solver's Taylor start uses radial_laplacian with shift 0;
+`advance` folds the level-n terms into the centre weight
 (shift alpha = acc_cur + c vel_cur), builds the rows straight into u_next
 with `out=` ufuncs and keeps the operation order (sums left to right) of
 
@@ -77,10 +79,7 @@ def radial_laplacian(u, h, dim, hi, stencil, out, scratch, shift=0.0):
     return lap
 
 
-def advance(
-    u, u_prev, mags, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi,
-    stencil=None,
-):
+def advance(u, u_prev, mags, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi, stencil):
     """One step of the scheme; returns (u_next, v_next), as long as u.
 
     mags is (|u|, |v|) of the current level, each as long as u. Cells with
@@ -88,8 +87,8 @@ def advance(
     zero; the last cell of the arrays is never updated, so in a forced run,
     whose arrays span the whole grid, it is the homogeneous Dirichlet
     boundary. `forcing` is None for the unforced equation; stencil is
-    radial_stencil(dim, h, k) for some k >= min(i_hi, n - 2), built here
-    when absent. The inputs are only read.
+    radial_stencil(dim, h, k) for some k >= min(i_hi, n - 2). The inputs
+    are only read.
     """
     n = u.shape[0]
     c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom = _step_coeffs(
@@ -97,8 +96,6 @@ def advance(
     )
     hi = min(i_hi, n - 2)
     m = hi + 1
-    if stencil is None:
-        stencil = radial_stencil(dim, h, hi)
     uw, pw = u[:m], u_prev[:m]
     mag_u, mag_v = mags
 

@@ -8,6 +8,7 @@ law), and issues a consistency verdict against the theoretical exponent.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -99,11 +100,13 @@ def sweep(
         t_max = max(base.t_max, 3.0 * t_pred(e))
         tail_args.append((replace(base, eps=e, t_max=t_max), refine))
 
-    if jobs > 1 and tail_args:
+    # a pool forks all its workers at once: no more than the rows and CPUs
+    workers = min(jobs, len(tail_args), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the serial path should not pay for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows.extend(pool.map(_measure_row, tail_args))
     else:
         rows.extend(_measure_row(a) for a in tail_args)

@@ -62,10 +62,10 @@ def _object(value, what: str) -> dict:
 
 
 def integer(value, name: str) -> int:
-    """value as an int; a number with a fractional part is rejected, not truncated."""
+    """value as an int; a boolean or a number with a fractional part is rejected."""
     try:
         as_int = int(value)
-        if as_int == value or as_int == float(value):
+        if not isinstance(value, bool) and (as_int == value or as_int == float(value)):
             return as_int
     except (TypeError, ValueError, OverflowError):
         pass
@@ -73,13 +73,15 @@ def integer(value, name: str) -> int:
 
 
 def number(value, name: str) -> float:
-    """value as a float; a missing or non-numeric value is a ConfigError naming it."""
+    """value as a float; a missing, boolean or non-numeric value is a ConfigError naming it."""
     if value is None:
         raise ConfigError(f"{name} has no value")
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def _schema_fields(cls) -> list:

@@ -3,6 +3,8 @@
 Solves u_tt - u_rr - (N-1)/r u_r + mu/(1+t) u_t = a|u_t|^p + b|u|^q on a
 uniform radial grid with small compactly supported data, adapting dt near
 blow-up and reporting a numerical lifespan validated by grid refinement.
+A state's RadialGrid owns the per-cell arrays that the step (stencil) and
+the monitor (snapshot weights, log phi) read; a regrowth grows the grid.
 """
 
 import functools
@@ -15,13 +17,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, NoBlowUpObservedError, NoTheoremError
 from .exponents import ModelParams, RegionClassification, classify
-from .functionals import (
-    MonitorSeries,
-    _trapezoid_weights,
-    compute_snapshot,
-    monitor_series,
-    snapshot_weights,
-)
+from .functionals import MonitorSeries, compute_snapshot, monitor_series, snapshot_weights
 from .specfun import TestFunctionContext, log_phi, surface_area
 
 # Amplitude-scaled dt safety factor near blow-up.
@@ -107,15 +103,48 @@ class SimConfig:
         return self.L / self.nr
 
 
+@dataclass(frozen=True)
+class RadialGrid:
+    """The first n cells of the radial grid of spacing h in dimension N and
+    the per-cell arrays of a state of that length, each built on first read.
+
+    A grid from `grown` carries the log phi cells evaluated so far and
+    evaluates only the new ones.
+    """
+
+    N: int
+    h: float
+    n: int
+    known_log_phi: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
+
+    @functools.cached_property
+    def stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """kernels.radial_stencil on cells 1..n - 1."""
+        return kernels.radial_stencil(self.N, self.h, self.n - 1)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights times r^{N-1}, functionals.snapshot_weights."""
+        return snapshot_weights(self.n, self.h, self.N)
+
+    @functools.cached_property
+    def log_phi(self) -> np.ndarray:
+        new = np.arange(self.known_log_phi.shape[0], self.n) * self.h
+        return np.concatenate((self.known_log_phi, log_phi(self.N, new)))
+
+    def grown(self, n: int) -> "RadialGrid":
+        """The grid of length n, carrying the log phi cells this one holds."""
+        return RadialGrid(self.N, self.h, n, self.__dict__.get("log_phi", self.known_log_phi))
+
+
 @dataclass
 class State:
     """Two-level grid state at time t (current level u, previous u_prev).
 
     u, u_prev and v share one length n and hold the first n cells of the
-    radial grid; every cell past n is zero. The solver keeps n between the
-    active window plus its stencil cell and twice that; a forced run's
-    window is the whole grid.
-    stencil, when set, holds kernels.radial_stencil for cells 1..n - 1 or more.
+    radial grid, whose RadialGrid of length n is `grid`; every cell past n
+    is zero. The solver keeps n between the active window plus its stencil
+    cell and twice that; a forced run's window is the whole grid.
 
     A state's arrays are never modified after construction: each step and
     each regrowth builds a new State. That is what lets `mags` be taken once
@@ -130,8 +159,7 @@ class State:
     u_prev: Optional[np.ndarray]
     v: np.ndarray  # second-order u_t reconstruction at the current level
     step: int
-    h: float
-    stencil: Optional[tuple[np.ndarray, np.ndarray]] = None
+    grid: RadialGrid
 
     @functools.cached_property
     def mags(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,34 +221,33 @@ def _padded(a: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
     return out
 
 
-def _cover(state: State, cfg: SimConfig, hi: int) -> State:
-    """state, zero-padded if needed so that it holds cells 0..hi + 1, with its
-    stencil weights covering its n - 1 interior cells.
+def _cover(state: State, hi: int) -> State:
+    """state, zero-padded with a grown grid if needed so that it holds cells
+    0..hi + 1.
 
     The length grows geometrically (x2), so the number of regrowths is
     logarithmic and the length stays within twice the window. A forced run
     starts at the full grid and never grows.
     """
     n = state.u.shape[0]
-    if hi + 2 > n:
-        n = max(2 * n, hi + 2)
-        state = replace(
-            state,
-            u=_padded(state.u, n),
-            u_prev=_padded(state.u_prev, n),
-            v=_padded(state.v, n),
-        )
-    if state.stencil is None or state.stencil[0].shape[0] < n - 1:
-        stencil = kernels.radial_stencil(cfg.params.N, cfg.h, n - 1)
-        state = replace(state, stencil=stencil)
-    return state
+    if hi + 2 <= n:
+        return state
+    n = max(2 * n, hi + 2)
+    return replace(
+        state,
+        u=_padded(state.u, n),
+        u_prev=_padded(state.u_prev, n),
+        v=_padded(state.v, n),
+        grid=state.grid.grown(n),
+    )
 
 
 def build_initial_state(cfg: SimConfig) -> State:
     """State at t = 0 with u = eps f, u_t = eps g on the support window."""
     n = _active_hi(cfg, 0.0) + 2
     f = cfg.eps * cfg.profile.values(np.arange(n) * cfg.h)
-    return State(t=0.0, dt_prev=0.0, u=f, u_prev=None, v=f.copy(), step=0, h=cfg.h)
+    grid = RadialGrid(cfg.params.N, cfg.h, n)
+    return State(t=0.0, dt_prev=0.0, u=f, u_prev=None, v=f.copy(), step=0, grid=grid)
 
 
 def propose_dt(state: State, cfg: SimConfig) -> float:
@@ -253,7 +280,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         dt = propose_dt(state, cfg)
     t_next = state.t + dt
     hi = _active_hi(cfg, t_next)
-    state = _cover(state, cfg, hi)
+    state = _cover(state, hi)
     forcing = None
     if cfg.forcing is not None:
         # forced runs keep the whole grid active (_active_hi is nr - 1)
@@ -265,7 +292,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         mag_u, mag_v = state.mags
         src = a * mag_v[w] ** params.p + b * mag_u[w] ** params.q
         acc = kernels.radial_laplacian(
-            state.u, cfg.h, params.N, hi, state.stencil, np.empty(hi + 1), np.empty(hi)
+            state.u, cfg.h, params.N, hi, state.grid.stencil, np.empty(hi + 1), np.empty(hi)
         )
         acc = acc - params.mu * v0 + src
         if forcing is not None:
@@ -275,8 +302,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         u1[w] = u0 + dt * v0 + 0.5 * dt * dt * acc
         v1[w] = v0 + dt * acc
         return State(
-            t=t_next, dt_prev=dt, u=u1, u_prev=state.u, v=v1, step=1, h=cfg.h,
-            stencil=state.stencil,
+            t=t_next, dt_prev=dt, u=u1, u_prev=state.u, v=v1, step=1, grid=state.grid
         )
 
     u_next, v_next = kernels.advance(
@@ -295,7 +321,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         params.p,
         params.q,
         hi,
-        state.stencil,
+        state.grid.stencil,
     )
     return State(
         t=t_next,
@@ -304,38 +330,24 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         u_prev=state.u,
         v=v_next,
         step=state.step + 1,
-        h=cfg.h,
-        stencil=state.stencil,
+        grid=state.grid,
     )
 
 
 def discrete_energy(state: State, cfg: SimConfig) -> float:
     """E = 1/2 int (u_t^2 + u_r^2) dx on the radial grid (trapezoid)."""
-    n = state.u.shape[0]
-    r = np.arange(n) * cfg.h
     ur = np.gradient(state.u, cfg.h, edge_order=2)
-    w = _trapezoid_weights(n, cfg.h)
-    dens = 0.5 * (state.v**2 + ur**2) * r ** (cfg.params.N - 1)
-    return surface_area(cfg.params.N) * float(np.dot(w, dens))
+    dens = 0.5 * (state.v**2 + ur**2)
+    return surface_area(cfg.params.N) * float(np.dot(state.grid.weights, dens))
 
 
 def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
     """Iterate time_step until blow-up, t >= t_max, or instability."""
     ctx = TestFunctionContext(N=cfg.params.N, mu=cfg.params.mu, R=cfg.profile.R)
     snaps = []
-    lphi = np.empty(0)  # log phi on the cells the state has held so far
-    weights = np.empty(0)  # the snapshot weights of the current state length
 
-    def record(state: State) -> None:
-        nonlocal lphi, weights
-        n = state.u.shape[0]
-        if lphi.shape[0] < n:
-            new = np.arange(lphi.shape[0], n) * cfg.h
-            lphi = np.concatenate((lphi, log_phi(cfg.params.N, new)))
-        if weights.shape[0] != n:
-            weights = snapshot_weights(n, cfg.h, cfg.params.N)
-        window = lphi[: _active_hi(cfg, state.t) + 2]  # active window, stencil cell
-        snaps.append(compute_snapshot(state, ctx, cfg.params, window, weights))
+    def record(state: State) -> None:  # on the active window and its stencil cell
+        snaps.append(compute_snapshot(state, ctx, cfg.params, _active_hi(cfg, state.t) + 2))
 
     state = build_initial_state(cfg)
     amp0 = state.amps[0]

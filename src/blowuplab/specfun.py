@@ -31,12 +31,12 @@ from .errors import DomainError
 
 
 @functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1], built once per n.
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The _FIXED_NODES-point Gauss-Legendre rule on [-1, 1], built once.
 
     Callers share the cached arrays, so they are returned read-only.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = np.polynomial.legendre.leggauss(_FIXED_NODES)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -51,16 +51,22 @@ _KV_STEPS = 64
 
 def fixed_rule(upper: float) -> tuple[np.ndarray, np.ndarray]:
     """The fixed _FIXED_NODES-point Gauss-Legendre rule on [0, upper]."""
-    nodes, weights = _gauss_legendre(_FIXED_NODES)
+    nodes, weights = _gauss_legendre()
     return 0.5 * upper * (nodes + 1.0), 0.5 * upper * weights
+
+
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """The weights of the trapezoid rule on n equally spaced nodes h apart."""
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
 
 
 @functools.cache
 def _unit_trapezoid() -> tuple[np.ndarray, np.ndarray]:
     """The _KV_STEPS-step trapezoid rule on [0, 1], built once, read-only."""
     nodes = np.linspace(0.0, 1.0, _KV_STEPS + 1)
-    weights = np.full(_KV_STEPS + 1, 1.0 / _KV_STEPS)
-    weights[0] = weights[-1] = 0.5 / _KV_STEPS
+    weights = trapezoid_weights(_KV_STEPS + 1, 1.0 / _KV_STEPS)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -144,7 +150,8 @@ def phi(N: int, r):
     """Radial eigenfunction with Delta phi = phi, phi > 0, increasing in r.
 
     N = 1 gives e^r + e^{-r} and N = 3 gives 4 pi sinh(r)/r; every other N
-    the sphere average of e^{x.omega} reduced to a 1-D theta integral.
+    the sphere average of e^{x.omega} reduced to a 1-D theta integral, whose
+    rule each radius sums along its own row, bitwise alike in any batch.
     """
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got {N}")
@@ -159,7 +166,7 @@ def phi(N: int, r):
     else:
         theta, w = fixed_rule(math.pi)
         core = np.exp(r_arr[..., None] * np.cos(theta)) * np.sin(theta) ** (N - 2)
-        out = _sphere_area(N - 2) * core @ w
+        out = _sphere_area(N - 2) * np.add.reduce(core * w, axis=-1)
     return out if np.ndim(r) else float(out)
 
 
@@ -179,7 +186,7 @@ def log_phi(N: int, r):
     else:
         theta, w = fixed_rule(math.pi)
         core = np.exp(r_arr[..., None] * (np.cos(theta) - 1.0)) * np.sin(theta) ** (N - 2)
-        out = r_arr + np.log(_sphere_area(N - 2) * (core @ w))
+        out = r_arr + np.log(_sphere_area(N - 2) * np.add.reduce(core * w, axis=-1))
     return out if np.ndim(r) else float(out)
 
 

@@ -21,8 +21,15 @@ from blowuplab.functionals import (
     lemma31_ratio,
     residual_F,
 )
-from blowuplab.solver import InitialProfile, SimConfig, State, build_initial_state, run
-from blowuplab.specfun import TestFunctionContext, log_phi, phi, rho, surface_area
+from blowuplab.solver import (
+    InitialProfile,
+    RadialGrid,
+    SimConfig,
+    State,
+    build_initial_state,
+    run,
+)
+from blowuplab.specfun import TestFunctionContext, phi, rho, surface_area
 
 
 def _profile_integral(weight_fn, N, R=1.0):
@@ -36,6 +43,11 @@ def _profile_integral(weight_fn, N, R=1.0):
     return surface_area(N) * val
 
 
+def _snapshot(state, ctx, params):
+    """A snapshot over every cell of the state."""
+    return compute_snapshot(state, ctx, params, state.u.shape[0])
+
+
 class TestSnapshot:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_initial_G1_against_oracle(self, N):
@@ -43,19 +55,19 @@ class TestSnapshot:
         cfg = SimConfig(params=params, eps=0.3, L=8.0, nr=4000, t_max=4.0)
         ctx = TestFunctionContext(N=N, mu=0.5, R=1.0)
         state = build_initial_state(cfg)
-        snap = compute_snapshot(state, ctx, params)
+        series = functionals.monitor_series(ctx, [_snapshot(state, ctx, params)])
         rho0 = rho(ctx, 0.0)
         exact = 0.3 * _profile_integral(lambda r: rho0 * phi(N, r), N)
         # trapezoid on the solver grid: second-order in h
-        assert snap.G1 == pytest.approx(exact, rel=5e-6)
+        assert series.G1[0] == pytest.approx(exact, rel=5e-6)
         # u_t(0) = u(0) for the default data, so G2(0) = G1(0)
-        assert snap.G2 == pytest.approx(snap.G1, rel=1e-12)
+        assert series.G2[0] == pytest.approx(series.G1[0], rel=1e-12)
 
     def test_initial_F_against_oracle(self):
         params = ModelParams(N=2, mu=1.0, p=2.0, q=2.0, a=1, b=1)
         cfg = SimConfig(params=params, eps=0.7, L=8.0, nr=4000, t_max=4.0)
         ctx = TestFunctionContext(N=2, mu=1.0, R=1.0)
-        snap = compute_snapshot(build_initial_state(cfg), ctx, params)
+        snap = _snapshot(build_initial_state(cfg), ctx, params)
         exact = 0.7 * _profile_integral(lambda r: 1.0, 2)
         assert snap.F == pytest.approx(exact, rel=5e-6)
         assert snap.G == pytest.approx(snap.F)  # (1+0)^{mu/2} = 1
@@ -64,7 +76,7 @@ class TestSnapshot:
         params = ModelParams(N=1, mu=0.5, p=2.0, q=3.0, a=1, b=1)
         cfg = SimConfig(params=params, eps=0.5, L=8.0, nr=4000, t_max=4.0)
         ctx = TestFunctionContext(N=1, mu=0.5, R=1.0)
-        snap = compute_snapshot(build_initial_state(cfg), ctx, params)
+        snap = _snapshot(build_initial_state(cfg), ctx, params)
         prof = InitialProfile(R=1.0)
         i2, _ = quad(lambda r: (0.5 * float(prof.values(np.array([r]))[0])) ** 2, 0, 1)
         i3, _ = quad(lambda r: (0.5 * float(prof.values(np.array([r]))[0])) ** 3, 0, 1)
@@ -77,11 +89,12 @@ class TestSnapshot:
         ctx = TestFunctionContext(N=1, mu=0.5, R=1.0)
         cfg = SimConfig(params=params, eps=0.1, L=8.0, nr=200, t_max=4.0)
         state = build_initial_state(cfg)
-        snap = compute_snapshot(state, ctx, params)
-        assert snap.Gamma > 0.0
+        near = _snapshot(state, ctx, params)
         state.t = 50.0
-        far = compute_snapshot(state, ctx, params)
-        assert far.Gamma == pytest.approx(2.0, abs=0.05)
+        far = _snapshot(state, ctx, params)
+        gamma = functionals.monitor_series(ctx, [near, far]).Gamma
+        assert gamma[0] > 0.0
+        assert gamma[1] == pytest.approx(2.0, abs=0.05)
 
 
 class TestSnapshotWindow:
@@ -91,24 +104,27 @@ class TestSnapshotWindow:
     PARAMS = ModelParams(N=3, mu=0.5, p=1.9, q=2.2, a=1, b=1)
 
     @staticmethod
-    def _outgoing_state(t, pad, h=0.05, R=1.0):
+    def _outgoing_snapshot(ctx, params, t, pad, h=0.05, R=1.0):
         # a bump on |r - t| < R, held on the window r <= t + R plus the
         # solver's margin, then zero-padded to `pad` times that length
-        n = pad * (int((t + R) / h) + 5)
-        u = InitialProfile(R=R).values(np.abs(np.arange(n) * h - t))
-        return State(t=t, dt_prev=0.0, u=u, u_prev=None, v=0.5 * u, step=0, h=h)
+        m = int((t + R) / h) + 5
+        u = InitialProfile(R=R).values(np.abs(np.arange(pad * m) * h - t))
+        grid = RadialGrid(params.N, h, pad * m)
+        state = State(t=t, dt_prev=0.0, u=u, u_prev=None, v=0.5 * u, step=0, grid=grid)
+        return compute_snapshot(state, ctx, params, m)
 
     @pytest.mark.parametrize("t", [650.0, 720.0, 750.0])
     def test_zero_padded_state_past_exp_overflow(self, t):
         # exp(log rho + log phi) on the padded tail overflows past t = 710,
         # and 0 * inf would make G1 and G2 NaN
         ctx = TestFunctionContext(N=3, mu=0.5, R=1.0)
-        window = compute_snapshot(self._outgoing_state(t, 1), ctx, self.PARAMS)
-        padded = compute_snapshot(self._outgoing_state(t, 2), ctx, self.PARAMS)
+        series = functionals.monitor_series(
+            ctx, [self._outgoing_snapshot(ctx, self.PARAMS, t, pad) for pad in (1, 2)]
+        )
         for name in ("G1", "G2"):
-            value = getattr(padded, name)
-            assert math.isfinite(value) and value > 0.0
-            assert value == pytest.approx(getattr(window, name), rel=1e-14, abs=0.0)
+            window, padded = getattr(series, name)
+            assert math.isfinite(padded) and padded > 0.0
+            assert padded == pytest.approx(window, rel=1e-14, abs=0.0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -122,33 +138,33 @@ class TestSnapshotWindow:
         params = replace(self.PARAMS, N=N)
         ctx = TestFunctionContext(N=N, mu=params.mu, R=1.0)
         u, v = np.array(cells + [(0.0, 0.0)]).T
-        grid = log_phi(N, np.arange(u.size) * 0.05)  # as the solver cuts it
 
-        def snap(pad, log_phi_grid):
+        def snap(pad):
             zeros = np.zeros((pad - 1) * u.size)
             state = State(
                 t=t, dt_prev=0.0, u=np.concatenate((u, zeros)), u_prev=None,
-                v=np.concatenate((v, zeros)), step=0, h=0.05,
+                v=np.concatenate((v, zeros)), step=0, grid=RadialGrid(N, 0.05, pad * u.size),
             )
-            s = compute_snapshot(state, ctx, params, log_phi_grid)
+            s = compute_snapshot(state, ctx, params, u.size)
             return s.F, s.G, s.u_phi, s.v_phi, s.int_ut_p, s.int_u_q
 
-        for log_phi_grid in (None, grid):
-            window = snap(1, log_phi_grid)
-            assert snap(2, log_phi_grid) == window and snap(4, log_phi_grid) == window
+        window = snap(1)
+        assert snap(2) == window and snap(4) == window
 
     def test_monitored_run_matches_per_snapshot_evaluation(self, monkeypatch):
-        # each snapshot evaluated alone, on its own log phi, weights and
-        # window, against the run's batched rho columns
+        # each snapshot evaluated alone, on a grid of its own, against the
+        # run's batched rho columns
         cfg = SimConfig(
             params=self.PARAMS, eps=1.2, L=21.0, nr=420, t_max=20.0, monitor_stride=2
         )
         snapshot, alone = solver.compute_snapshot, []
 
-        def each(state, ctx, params, log_phi_grid, weights):
-            own = snapshot(state, ctx, params)
-            alone.append((own.G1, own.G2, own.Gamma))
-            return snapshot(state, ctx, params, log_phi_grid, weights)
+        def each(state, ctx, params, m):
+            grid = RadialGrid(params.N, cfg.h, state.u.shape[0])
+            own = snapshot(replace(state, grid=grid), ctx, params, m)
+            own = functionals.monitor_series(ctx, [own])
+            alone.append((own.G1[0], own.G2[0], own.Gamma[0]))
+            return snapshot(state, ctx, params, m)
 
         monkeypatch.setattr(solver, "compute_snapshot", each)
         res = run(cfg)

@@ -1,5 +1,6 @@
 """Sweep orchestration, scaling-law fits, and theory verdicts."""
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -183,6 +184,31 @@ class TestSweep:
         for a, b in zip(serial.rows, parallel.rows):
             assert (a.eps, a.T_est, a.outcome) == (b.eps, b.T_est, b.outcome)
             assert np.isnan(a.uncertainty) == np.isnan(b.uncertainty)
+
+    def test_pool_takes_no_more_workers_than_rows_and_cpus(self, fake_runs, monkeypatch):
+        # a pool forks all its workers at the first submit; the stand-in
+        # starts none and records how many sweep asks for
+        asked = []
+
+        class StandIn:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return list(map(fn, args))
+
+        fake_runs()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
+        result = sweep(BASE, [0.4, 0.3, 0.2], refine=1, jobs=10**6)
+        workers = min(2, os.cpu_count() or 1)  # two tail rows
+        assert asked == ([workers] if workers > 1 else [])
+        assert [row.outcome for row in result.rows] == ["blowup"] * 3
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from blowuplab.cli import main
 from blowuplab.errors import ConfigError, InsufficientDataError
 from blowuplab.exponents import ModelParams
 from blowuplab.functionals import MONITOR_COLUMNS, MonitorSeries, residual_F
@@ -145,6 +146,19 @@ def test_non_integral_integer_field_is_named_not_truncated(field, value):
     (doc["params"] if field in doc["params"] else doc)[field] = value
     with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got "):
         config_from_dict(SimConfig, doc, "run config")
+
+
+@pytest.mark.parametrize("field", ["N", "nr", "monitor_stride", "eps", "t_max", "mu"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_field_is_named_not_read_as_a_number(field, value, tmp_path):
+    # int(True) == 1, so a JSON true would otherwise pass as 1 or 1.0
+    doc = json.loads(json.dumps(RUN_DOC))
+    (doc["params"] if field in doc["params"] else doc)[field] = value
+    with pytest.raises(ConfigError, match=rf"^{field} must be an? (integer|number), got {value}$"):
+        config_from_dict(SimConfig, doc, "run config")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--quiet", "solve", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_integral_floats_are_read_as_ints():

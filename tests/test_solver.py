@@ -11,9 +11,10 @@ from hypothesis import strategies as hs
 from blowuplab import kernels, solver
 from blowuplab.errors import ConfigError, NoBlowUpObservedError
 from blowuplab.exponents import ModelParams
-from blowuplab.functionals import MONITOR_COLUMNS
+from blowuplab.functionals import MONITOR_COLUMNS, monitor_series
 from blowuplab.solver import (
     InitialProfile,
+    RadialGrid,
     SimConfig,
     State,
     build_initial_state,
@@ -23,6 +24,7 @@ from blowuplab.solver import (
     run,
     time_step,
 )
+from blowuplab.specfun import TestFunctionContext
 
 LINEAR = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=0, b=0)
 
@@ -71,7 +73,7 @@ class TestTimeStepping:
         st = build_initial_state(cfg)
         big = State(
             t=0.0, dt_prev=0.0, u=50.0 * st.u, u_prev=None, v=50.0 * st.v,
-            step=0, h=st.h,
+            step=0, grid=st.grid,
         )
         assert propose_dt(big, cfg) < propose_dt(st, cfg) / 100.0
 
@@ -79,7 +81,7 @@ class TestTimeStepping:
         cfg = SimConfig(params=LINEAR, eps=0.1, L=12.0, nr=100, t_max=4.0)
         st = build_initial_state(cfg)
         st = State(
-            t=1.0, dt_prev=1e-4, u=st.u, u_prev=st.u, v=st.v, step=5, h=st.h
+            t=1.0, dt_prev=1e-4, u=st.u, u_prev=st.u, v=st.v, step=5, grid=st.grid
         )
         assert propose_dt(st, cfg) <= 1.05 * 1e-4 + 1e-18
 
@@ -177,94 +179,68 @@ class TestSupportWindow:
     @given(
         N=hs.sampled_from([1, 2, 3, 4]),
         eps=hs.floats(0.05, 3.0),
-        steps=hs.integers(1, 400),
+        steps=hs.integers(2, 400),
         stride=hs.sampled_from([1, 3, 10]),
     )
-    def test_snapshot_weights_reused_bitwise(self, N, eps, steps, stride):
+    def test_grid_arrays_built_once_per_length(self, N, eps, steps, stride):
         # about `steps` steps at h = 0.05; the state starts at 25 cells and
-        # doubles as its support grows, up to 4 times by t = 18
+        # doubles as its support grows, up to 4 times by t = 18. Each array of
+        # the state's grid is built once per state length, and the monitors
+        # equal, bitwise, each snapshot evaluated on a freshly built grid.
         params = ModelParams(N=N, mu=0.5, p=2.0, q=2.2, a=1, b=1)
         cfg = SimConfig(
             params=params, eps=eps, L=3.2, nr=64, t_max=1.0, monitor_stride=stride
         )
         cfg = replace(cfg, t_max=steps * cfg.cfl * cfg.h / math.sqrt(N))
-        snapshot, weights_of = solver.compute_snapshot, solver.snapshot_weights
-        lengths, built = [], []
-
-        def passed(state, ctx, params, log_phi_grid, weights):
-            lengths.append(state.u.shape[0])
-            assert weights.shape[0] == state.u.shape[0]
-            return snapshot(state, ctx, params, log_phi_grid, weights)
-
-        def own(state, ctx, params, log_phi_grid, weights):
-            return snapshot(state, ctx, params, log_phi_grid)
-
-        def counted(n, h, N):
-            built.append(n)
-            return weights_of(n, h, N)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "snapshot_weights", counted)
-            mp.setattr(solver, "compute_snapshot", passed)
-            reused = run(cfg)
-            # one build per state length, when the state first has it
-            assert built == sorted(set(lengths))
-            mp.setattr(solver, "compute_snapshot", own)
-            rebuilt = run(cfg)
-        for name in MONITOR_COLUMNS:
-            np.testing.assert_array_equal(
-                getattr(reused.monitors, name).view(np.uint64),
-                getattr(rebuilt.monitors, name).view(np.uint64),
-            )
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        N=hs.sampled_from([1, 2, 3, 4]),
-        eps=hs.floats(0.05, 3.0),
-        steps=hs.integers(2, 400),
-    )
-    def test_stencil_weights_reused_bitwise(self, N, eps, steps):
-        # as above: a run whose state regrows builds the Laplacian's stencil
-        # weights once per state length and steps as if the kernel built
-        # its own on every call
-        params = ModelParams(N=N, mu=0.5, p=2.0, q=2.2, a=1, b=1)
-        cfg = SimConfig(params=params, eps=eps, L=3.2, nr=64, t_max=1.0)
-        cfg = replace(cfg, t_max=steps * cfg.cfl * cfg.h / math.sqrt(N))
-        cover, stencil_of, advance = solver._cover, kernels.radial_stencil, kernels.advance
-        lengths, built = [], []
+        cover, snapshot = solver._cover, solver.compute_snapshot
+        stencil_of, weights_of, log_phi = (
+            kernels.radial_stencil, solver.snapshot_weights, solver.log_phi
+        )
+        stepped, snapped, stencils, weights, points = [], [], [], [], []
 
         def recording_cover(*args):
             state = cover(*args)
-            lengths.append(state.u.shape[0])
+            stepped.append(state.u.shape[0])
             return state
 
-        def counted(dim, h, n):
-            built.append(n)
+        def recording_snapshot(state, ctx, params, m):
+            snapped.append((state, m))
+            return snapshot(state, ctx, params, m)
+
+        def counted_stencil(dim, h, n):
+            stencils.append(n)
             return stencil_of(dim, h, n)
 
-        def passed(*args):
-            assert args[15][0].shape[0] == args[0].shape[0] - 1
-            return advance(*args)
+        def counted_weights(n, h, N):
+            weights.append(n)
+            return weights_of(n, h, N)
 
-        def own(*args):
-            return advance(*args[:15])
+        def counted_log_phi(N, r):
+            points.append(r.size)
+            return log_phi(N, r)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_cover", recording_cover)
-            mp.setattr(kernels, "radial_stencil", counted)
-            mp.setattr(kernels, "advance", passed)
-            reused = run(cfg)
-            # one build per state length, when the state first has it
-            assert built == sorted({n - 1 for n in lengths})
-            mp.setattr(kernels, "advance", own)
-            rebuilt = run(cfg)
-        assert (reused.outcome, reused.t_blowup, reused.steps) == (
-            rebuilt.outcome, rebuilt.t_blowup, rebuilt.steps
-        )
+            mp.setattr(solver, "compute_snapshot", recording_snapshot)
+            mp.setattr(kernels, "radial_stencil", counted_stencil)
+            mp.setattr(solver, "snapshot_weights", counted_weights)
+            mp.setattr(solver, "log_phi", counted_log_phi)
+            res = run(cfg)
+        lengths = [state.u.shape[0] for state, _ in snapped]
+        assert stencils == sorted({n - 1 for n in stepped})
+        assert weights == sorted(set(lengths))
+        assert sum(points) == max(lengths)  # each cell's log phi evaluated once
+
+        ctx = TestFunctionContext(N=N, mu=params.mu, R=cfg.profile.R)
+        alone = [
+            snapshot(replace(s, grid=RadialGrid(N, cfg.h, s.u.shape[0])), ctx, params, m)
+            for s, m in snapped
+        ]
+        fresh = monitor_series(ctx, alone)
         for name in MONITOR_COLUMNS:
             np.testing.assert_array_equal(
-                getattr(reused.monitors, name).view(np.uint64),
-                getattr(rebuilt.monitors, name).view(np.uint64),
+                getattr(res.monitors, name).view(np.uint64),
+                getattr(fresh, name).view(np.uint64),
             )
 
 
@@ -283,7 +259,8 @@ class TestMagnitudes:
     )
     def test_amps_is_max_abs_bitwise(self, u, v):
         u, v = np.array(u), np.array(v)
-        state = State(t=0.0, dt_prev=0.0, u=u, u_prev=None, v=v, step=0, h=0.1)
+        grid = RadialGrid(1, 0.1, u.size)
+        state = State(t=0.0, dt_prev=0.0, u=u, u_prev=None, v=v, step=0, grid=grid)
         expected = np.array([np.max(np.abs(u)), np.max(np.abs(v))])
         assert np.array(state.amps).tobytes() == expected.tobytes()
         assert state.finite() == bool(np.isfinite(u).all() and np.isfinite(v).all())
@@ -367,7 +344,7 @@ def _mms_error(N, nr, t_end=1.0, mu=0.5):
     r = np.arange(nr + 1) * cfg.h
     state = State(
         t=0.0, dt_prev=0.0, u=exact(r, 0.0), u_prev=None,
-        v=-exact(r, 0.0), step=0, h=cfg.h,
+        v=-exact(r, 0.0), step=0, grid=RadialGrid(N, cfg.h, nr + 1),
     )
     state = _march(cfg, state, t_end)
     err = state.u - exact(r, state.t)

@@ -201,8 +201,21 @@ class TestPhi:
         theta, w = specfun.fixed_rule(math.pi)
         r = np.linspace(0.0, 60.0, 1201)
         core = np.exp(r[:, None] * (np.cos(theta) - 1.0)) * np.sin(theta)
-        by_rule = r + np.log(2.0 * math.pi * (core @ w))
+        by_rule = r + np.log(2.0 * math.pi * np.add.reduce(core * w, axis=-1))
         np.testing.assert_allclose(by_rule, log_phi(3, r), rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=hs.sampled_from([2, 4, 5]),
+        r=hs.lists(hs.floats(0.0, 600.0), min_size=1, max_size=400),
+    )
+    def test_array_equals_per_point_calls_bitwise(self, N, r):
+        # each radius sums the theta rule along its own row, so its value does
+        # not depend on which other radii share the call
+        for fn in (phi, log_phi):
+            batch = fn(N, np.array(r))
+            alone = np.array([fn(N, x) for x in r])
+            assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -351,9 +364,10 @@ class TestGaussLegendre:
         )
         assert out.stdout.strip() == "[] 0"
 
-    @pytest.mark.parametrize("n", [16, 256, 512, 1024])
+    @pytest.mark.parametrize("n", [256])
     def test_read_only_and_exact(self, n):
-        nodes, weights = specfun._gauss_legendre(n)
+        # the one rule: fixed_rule's 256 nodes, exactly as leggauss builds them
+        nodes, weights = specfun._gauss_legendre()
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
         assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
         with pytest.raises(ValueError):
