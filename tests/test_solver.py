@@ -179,37 +179,28 @@ class TestSupportWindow:
     @given(
         N=hs.sampled_from([1, 2, 3, 4]),
         eps=hs.floats(0.05, 3.0),
-        steps=hs.integers(2, 400),
+        steps=hs.integers(1, 400),
         stride=hs.sampled_from([1, 3, 10]),
     )
-    def test_grid_arrays_built_once_per_length(self, N, eps, steps, stride):
+    def test_snapshot_weights_reused_bitwise(self, N, eps, steps, stride):
         # about `steps` steps at h = 0.05; the state starts at 25 cells and
-        # doubles as its support grows, up to 4 times by t = 18. Each array of
-        # the state's grid is built once per state length, and the monitors
-        # equal, bitwise, each snapshot evaluated on a freshly built grid.
+        # doubles as its support grows, up to 4 times by t = 18. The grid's
+        # snapshot weights and log phi are built once per state length, and
+        # the monitors equal, bitwise, each snapshot evaluated on a freshly
+        # built grid.
         params = ModelParams(N=N, mu=0.5, p=2.0, q=2.2, a=1, b=1)
         cfg = SimConfig(
             params=params, eps=eps, L=3.2, nr=64, t_max=1.0, monitor_stride=stride
         )
         cfg = replace(cfg, t_max=steps * cfg.cfl * cfg.h / math.sqrt(N))
-        cover, snapshot = solver._cover, solver.compute_snapshot
-        stencil_of, weights_of, log_phi = (
-            kernels.radial_stencil, solver.snapshot_weights, solver.log_phi
+        snapshot, weights_of, log_phi = (
+            solver.compute_snapshot, solver.snapshot_weights, solver.log_phi
         )
-        stepped, snapped, stencils, weights, points = [], [], [], [], []
-
-        def recording_cover(*args):
-            state = cover(*args)
-            stepped.append(state.u.shape[0])
-            return state
+        snapped, weights, points = [], [], []
 
         def recording_snapshot(state, ctx, params, m):
             snapped.append((state, m))
             return snapshot(state, ctx, params, m)
-
-        def counted_stencil(dim, h, n):
-            stencils.append(n)
-            return stencil_of(dim, h, n)
 
         def counted_weights(n, h, N):
             weights.append(n)
@@ -220,14 +211,12 @@ class TestSupportWindow:
             return log_phi(N, r)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_cover", recording_cover)
             mp.setattr(solver, "compute_snapshot", recording_snapshot)
-            mp.setattr(kernels, "radial_stencil", counted_stencil)
             mp.setattr(solver, "snapshot_weights", counted_weights)
             mp.setattr(solver, "log_phi", counted_log_phi)
             res = run(cfg)
         lengths = [state.u.shape[0] for state, _ in snapped]
-        assert stencils == sorted({n - 1 for n in stepped})
+        # one build per state length, when the state first has it
         assert weights == sorted(set(lengths))
         assert sum(points) == max(lengths)  # each cell's log phi evaluated once
 
@@ -241,6 +230,57 @@ class TestSupportWindow:
             np.testing.assert_array_equal(
                 getattr(res.monitors, name).view(np.uint64),
                 getattr(fresh, name).view(np.uint64),
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        N=hs.sampled_from([1, 2, 3, 4]),
+        eps=hs.floats(0.05, 3.0),
+        steps=hs.integers(2, 400),
+    )
+    def test_stencil_weights_reused_bitwise(self, N, eps, steps):
+        # as above: a run whose state regrows builds the Laplacian's stencil
+        # weights once per state length and steps as if the kernel were
+        # handed a freshly built stencil on every call
+        params = ModelParams(N=N, mu=0.5, p=2.0, q=2.2, a=1, b=1)
+        cfg = SimConfig(params=params, eps=eps, L=3.2, nr=64, t_max=1.0)
+        cfg = replace(cfg, t_max=steps * cfg.cfl * cfg.h / math.sqrt(N))
+        cover, stencil_of, advance = solver._cover, kernels.radial_stencil, kernels.advance
+        lengths, built = [], []
+
+        def recording_cover(*args):
+            state = cover(*args)
+            lengths.append(state.u.shape[0])
+            return state
+
+        def counted(dim, h, n):
+            built.append(n)
+            return stencil_of(dim, h, n)
+
+        def passed(*args):
+            assert args[15][0].shape[0] == args[0].shape[0] - 1
+            return advance(*args)
+
+        def own(*args):
+            u, h, dim = args[0], args[7], args[8]
+            return advance(*args[:15], stencil_of(dim, h, u.shape[0] - 1))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_cover", recording_cover)
+            mp.setattr(kernels, "radial_stencil", counted)
+            mp.setattr(kernels, "advance", passed)
+            reused = run(cfg)
+            # one build per state length, when the state first has it
+            assert built == sorted({n - 1 for n in lengths})
+            mp.setattr(kernels, "advance", own)
+            rebuilt = run(cfg)
+        assert (reused.outcome, reused.t_blowup, reused.steps) == (
+            rebuilt.outcome, rebuilt.t_blowup, rebuilt.steps
+        )
+        for name in MONITOR_COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(reused.monitors, name).view(np.uint64),
+                getattr(rebuilt.monitors, name).view(np.uint64),
             )
 
 
