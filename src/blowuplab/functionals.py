@@ -104,9 +104,7 @@ def snapshot_weights(n: int, h: float, N: int) -> np.ndarray:
     return trapezoid_weights(n, h) * (np.arange(n) * h) ** (N - 1)
 
 
-def compute_snapshot(
-    state: "State", ctx: TestFunctionContext, params: ModelParams, m: int
-) -> FunctionalSnapshot:
+def compute_snapshot(state: "State", params: ModelParams, m: int) -> FunctionalSnapshot:
     """The integrals, max|u| and last dt of one state; trapezoid rule on its grid.
 
     Every integral takes the first m cells, with the weights and log phi of

@@ -84,11 +84,10 @@ def advance(u, u_prev, mags, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_
 
     mags is (|u|, |v|) of the current level, each as long as u. Cells with
     index > i_hi are outside the active support window and stay exactly
-    zero; the last cell of the arrays is never updated, so in a forced run,
-    whose arrays span the whole grid, it is the homogeneous Dirichlet
-    boundary. `forcing` is None for the unforced equation; stencil is
-    radial_stencil(dim, h, k) for some k >= min(i_hi, n - 2). The inputs
-    are only read.
+    zero, and the last cell of the arrays is never updated. With
+    k = min(i_hi, n - 2), `forcing` is None for the unforced equation or
+    holds at least k + 1 cells, and stencil is radial_stencil(dim, h, j)
+    for some j >= k. The inputs are only read.
     """
     n = u.shape[0]
     c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom = _step_coeffs(

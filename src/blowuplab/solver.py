@@ -52,10 +52,9 @@ class InitialProfile:
 class SimConfig:
     """One radial Cauchy problem: model, data size, grid and run policy.
 
-    L and nr fix the grid spacing h = L / nr. An unforced run's state holds
-    the cells its support r <= t + R has reached, however far past L, so its
-    cost follows h and t + R alone. A forced run (the `forcing` hook) holds
-    all nr + 1 cells of [0, L], the last one a Dirichlet boundary.
+    L and nr fix the grid spacing h = L / nr and nothing else. A run's state
+    holds the cells its support r <= t + R has reached, however far past L,
+    so its cost follows h and t + R alone.
 
     Every field but `forcing` is a key of the run-config JSON (see runio);
     a field with no default is a required key.
@@ -74,6 +73,8 @@ class SimConfig:
     # the monitor grid, so its accuracy scales with (stride * dt)^2.
     monitor_stride: int = 10
     # Test hook for manufactured solutions; not part of the config schema.
+    # It is evaluated on the support window only, so it must vanish outside
+    # r <= t + R.
     forcing: Optional[Callable[[np.ndarray, float], np.ndarray]] = field(
         default=None, metadata={"schema": False}
     )
@@ -85,8 +86,8 @@ class SimConfig:
             raise ConfigError(f"L must be finite and positive, got {self.L}")
         if self.nr < 64:
             raise ConfigError(f"nr must be >= 64, got {self.nr}")
-        if not 0 < self.cfl <= 1:
-            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if not 0 < self.cfl < 1:
+            raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
         if not (math.isfinite(self.blowup_threshold) and self.blowup_threshold > 0):
@@ -144,7 +145,7 @@ class State:
     u, u_prev and v share one length n and hold the first n cells of the
     radial grid, whose RadialGrid of length n is `grid`; every cell past n
     is zero. The solver keeps n between the active window plus its stencil
-    cell and twice that; a forced run's window is the whole grid.
+    cell and twice that.
 
     A state's arrays are never modified after construction: each step and
     each regrowth builds a new State. That is what lets `mags` be taken once
@@ -201,15 +202,9 @@ class LifespanEstimate:
     extrapolated: bool
 
 
-def _grid(cfg: SimConfig) -> np.ndarray:
-    return np.linspace(0.0, cfg.L, cfg.nr + 1)
-
-
 def _active_hi(cfg: SimConfig, t: float) -> int:
     # Finite speed of propagation: nothing outside r <= t + R can be nonzero,
     # so cells beyond a small stencil margin are pinned to exact zero.
-    if cfg.forcing is not None:
-        return cfg.nr - 1
     return int((t + cfg.profile.R) / cfg.h) + 3
 
 
@@ -226,8 +221,7 @@ def _cover(state: State, hi: int) -> State:
     0..hi + 1.
 
     The length grows geometrically (x2), so the number of regrowths is
-    logarithmic and the length stays within twice the window. A forced run
-    starts at the full grid and never grows.
+    logarithmic and the length stays within twice the window.
     """
     n = state.u.shape[0]
     if hi + 2 <= n:
@@ -283,8 +277,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
     state = _cover(state, hi)
     forcing = None
     if cfg.forcing is not None:
-        # forced runs keep the whole grid active (_active_hi is nr - 1)
-        forcing = np.asarray(cfg.forcing(_grid(cfg), state.t), dtype=float)
+        forcing = np.asarray(cfg.forcing(np.arange(hi + 1) * cfg.h, state.t), dtype=float)
 
     if state.step == 0:
         w = slice(0, hi + 1)
@@ -296,7 +289,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         )
         acc = acc - params.mu * v0 + src
         if forcing is not None:
-            acc = acc + forcing[w]
+            acc = acc + forcing
         u1 = np.zeros_like(state.u)
         v1 = np.zeros_like(state.u)
         u1[w] = u0 + dt * v0 + 0.5 * dt * dt * acc
@@ -347,7 +340,7 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
     snaps = []
 
     def record(state: State) -> None:  # on the active window and its stencil cell
-        snaps.append(compute_snapshot(state, ctx, cfg.params, _active_hi(cfg, state.t) + 2))
+        snaps.append(compute_snapshot(state, cfg.params, _active_hi(cfg, state.t) + 2))
 
     state = build_initial_state(cfg)
     amp0 = state.amps[0]

@@ -348,6 +348,8 @@ class TestSweep:
         ("sweep --tau=inf", SWEEP_CONFIG),
         ("sweep --tau=-0.5", SWEEP_CONFIG),
         ("sweep --tau=1.5", SWEEP_CONFIG),
+        # cfl must lie in (0, 1): at cfl 1 leapfrog's grid-scale mode is marginal
+        ("solve", dict(RUN_CONFIG, cfl=1.0)),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):

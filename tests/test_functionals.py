@@ -43,9 +43,9 @@ def _profile_integral(weight_fn, N, R=1.0):
     return surface_area(N) * val
 
 
-def _snapshot(state, ctx, params):
+def _snapshot(state, params):
     """A snapshot over every cell of the state."""
-    return compute_snapshot(state, ctx, params, state.u.shape[0])
+    return compute_snapshot(state, params, state.u.shape[0])
 
 
 class TestSnapshot:
@@ -55,7 +55,7 @@ class TestSnapshot:
         cfg = SimConfig(params=params, eps=0.3, L=8.0, nr=4000, t_max=4.0)
         ctx = TestFunctionContext(N=N, mu=0.5, R=1.0)
         state = build_initial_state(cfg)
-        series = functionals.monitor_series(ctx, [_snapshot(state, ctx, params)])
+        series = functionals.monitor_series(ctx, [_snapshot(state, params)])
         rho0 = rho(ctx, 0.0)
         exact = 0.3 * _profile_integral(lambda r: rho0 * phi(N, r), N)
         # trapezoid on the solver grid: second-order in h
@@ -66,8 +66,7 @@ class TestSnapshot:
     def test_initial_F_against_oracle(self):
         params = ModelParams(N=2, mu=1.0, p=2.0, q=2.0, a=1, b=1)
         cfg = SimConfig(params=params, eps=0.7, L=8.0, nr=4000, t_max=4.0)
-        ctx = TestFunctionContext(N=2, mu=1.0, R=1.0)
-        snap = _snapshot(build_initial_state(cfg), ctx, params)
+        snap = _snapshot(build_initial_state(cfg), params)
         exact = 0.7 * _profile_integral(lambda r: 1.0, 2)
         assert snap.F == pytest.approx(exact, rel=5e-6)
         assert snap.G == pytest.approx(snap.F)  # (1+0)^{mu/2} = 1
@@ -75,8 +74,7 @@ class TestSnapshot:
     def test_nonlinear_integrals_against_oracle(self):
         params = ModelParams(N=1, mu=0.5, p=2.0, q=3.0, a=1, b=1)
         cfg = SimConfig(params=params, eps=0.5, L=8.0, nr=4000, t_max=4.0)
-        ctx = TestFunctionContext(N=1, mu=0.5, R=1.0)
-        snap = _snapshot(build_initial_state(cfg), ctx, params)
+        snap = _snapshot(build_initial_state(cfg), params)
         prof = InitialProfile(R=1.0)
         i2, _ = quad(lambda r: (0.5 * float(prof.values(np.array([r]))[0])) ** 2, 0, 1)
         i3, _ = quad(lambda r: (0.5 * float(prof.values(np.array([r]))[0])) ** 3, 0, 1)
@@ -89,9 +87,9 @@ class TestSnapshot:
         ctx = TestFunctionContext(N=1, mu=0.5, R=1.0)
         cfg = SimConfig(params=params, eps=0.1, L=8.0, nr=200, t_max=4.0)
         state = build_initial_state(cfg)
-        near = _snapshot(state, ctx, params)
+        near = _snapshot(state, params)
         state.t = 50.0
-        far = _snapshot(state, ctx, params)
+        far = _snapshot(state, params)
         gamma = functionals.monitor_series(ctx, [near, far]).Gamma
         assert gamma[0] > 0.0
         assert gamma[1] == pytest.approx(2.0, abs=0.05)
@@ -104,14 +102,14 @@ class TestSnapshotWindow:
     PARAMS = ModelParams(N=3, mu=0.5, p=1.9, q=2.2, a=1, b=1)
 
     @staticmethod
-    def _outgoing_snapshot(ctx, params, t, pad, h=0.05, R=1.0):
+    def _outgoing_snapshot(params, t, pad, h=0.05, R=1.0):
         # a bump on |r - t| < R, held on the window r <= t + R plus the
         # solver's margin, then zero-padded to `pad` times that length
         m = int((t + R) / h) + 5
         u = InitialProfile(R=R).values(np.abs(np.arange(pad * m) * h - t))
         grid = RadialGrid(params.N, h, pad * m)
         state = State(t=t, dt_prev=0.0, u=u, u_prev=None, v=0.5 * u, step=0, grid=grid)
-        return compute_snapshot(state, ctx, params, m)
+        return compute_snapshot(state, params, m)
 
     @pytest.mark.parametrize("t", [650.0, 720.0, 750.0])
     def test_zero_padded_state_past_exp_overflow(self, t):
@@ -119,7 +117,7 @@ class TestSnapshotWindow:
         # and 0 * inf would make G1 and G2 NaN
         ctx = TestFunctionContext(N=3, mu=0.5, R=1.0)
         series = functionals.monitor_series(
-            ctx, [self._outgoing_snapshot(ctx, self.PARAMS, t, pad) for pad in (1, 2)]
+            ctx, [self._outgoing_snapshot(self.PARAMS, t, pad) for pad in (1, 2)]
         )
         for name in ("G1", "G2"):
             window, padded = getattr(series, name)
@@ -136,7 +134,6 @@ class TestSnapshotWindow:
         # a window of u, v cells plus the zero stencil cell, zero-padded to 2x
         # and 4x its length: every integral runs over the same cells, bitwise
         params = replace(self.PARAMS, N=N)
-        ctx = TestFunctionContext(N=N, mu=params.mu, R=1.0)
         u, v = np.array(cells + [(0.0, 0.0)]).T
 
         def snap(pad):
@@ -145,7 +142,7 @@ class TestSnapshotWindow:
                 t=t, dt_prev=0.0, u=np.concatenate((u, zeros)), u_prev=None,
                 v=np.concatenate((v, zeros)), step=0, grid=RadialGrid(N, 0.05, pad * u.size),
             )
-            s = compute_snapshot(state, ctx, params, u.size)
+            s = compute_snapshot(state, params, u.size)
             return s.F, s.G, s.u_phi, s.v_phi, s.int_ut_p, s.int_u_q
 
         window = snap(1)
@@ -157,14 +154,15 @@ class TestSnapshotWindow:
         cfg = SimConfig(
             params=self.PARAMS, eps=1.2, L=21.0, nr=420, t_max=20.0, monitor_stride=2
         )
+        ctx = TestFunctionContext(N=3, mu=self.PARAMS.mu, R=cfg.profile.R)
         snapshot, alone = solver.compute_snapshot, []
 
-        def each(state, ctx, params, m):
+        def each(state, params, m):
             grid = RadialGrid(params.N, cfg.h, state.u.shape[0])
-            own = snapshot(replace(state, grid=grid), ctx, params, m)
+            own = snapshot(replace(state, grid=grid), params, m)
             own = functionals.monitor_series(ctx, [own])
             alone.append((own.G1[0], own.G2[0], own.Gamma[0]))
-            return snapshot(state, ctx, params, m)
+            return snapshot(state, params, m)
 
         monkeypatch.setattr(solver, "compute_snapshot", each)
         res = run(cfg)

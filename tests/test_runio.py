@@ -225,7 +225,7 @@ def _sim_configs(draw):
         profile=profile,
         L=draw(_POSITIVE),
         nr=draw(hs.integers(64, 1 << 24)),
-        cfl=draw(hs.floats(0.0, 1.0, exclude_min=True)),
+        cfl=draw(hs.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         t_max=t_max,
         blowup_threshold=draw(_POSITIVE),
         dt_min=draw(_POSITIVE),

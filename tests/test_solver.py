@@ -124,13 +124,24 @@ class TestSupportWindow:
         eps=hs.floats(0.05, 3.0),
         steps=hs.integers(1, 300),
         nr=hs.integers(64, 160),
+        forced=hs.booleans(),
     )
-    def test_matches_a_fifty_times_larger_domain(self, N, eps, steps, nr):
+    def test_matches_a_fifty_times_larger_domain(self, N, eps, steps, nr, forced):
         params = ModelParams(N=N, mu=0.5, p=2.0, q=2.2, a=1, b=1)
         # big is 50 x the largest drawn domain (L = 8); the drawn L = nr h
-        # lies below t_max + R = 7 for nr < 140. An unforced run never sees
-        # its L, so both runs must agree bit for bit at equal h.
-        big = SimConfig(params=params, eps=eps, L=400.0, nr=8000, t_max=6.0)
+        # lies below t_max + R = 7 for nr < 140. A run never sees its L, and
+        # a forcing supported in r < R is evaluated on the window only, so
+        # both runs must agree bit for bit at equal h, forced or not.
+        radii = []
+
+        def forcing(r, t):
+            radii.append(r.size)
+            return math.exp(-t) * np.maximum(1.0 - r * r, 0.0) ** 6
+
+        big = SimConfig(
+            params=params, eps=eps, L=400.0, nr=8000, t_max=6.0,
+            forcing=forcing if forced else None,
+        )
         cfg = replace(big, L=nr * big.h, nr=nr)
         assume(cfg.h == big.h)
         a, b = build_initial_state(cfg), build_initial_state(big)
@@ -141,6 +152,10 @@ class TestSupportWindow:
             a, b = time_step(a, cfg), time_step(b, big)
             lengths.add(a.u.shape[0])
             assert a.t == b.t
+            if forced:  # each run's step made one call, on the window's cells
+                assert len(radii) == 2
+                assert max(radii) <= solver._active_hi(cfg, a.t) + 1
+                radii.clear()
             n = min(a.u.shape[0], b.u.shape[0])
             for x, y in ((a.u, b.u), (a.v, b.v)):
                 np.testing.assert_array_equal(x[:n], y[:n])
@@ -198,9 +213,9 @@ class TestSupportWindow:
         )
         snapped, weights, points = [], [], []
 
-        def recording_snapshot(state, ctx, params, m):
+        def recording_snapshot(state, params, m):
             snapped.append((state, m))
-            return snapshot(state, ctx, params, m)
+            return snapshot(state, params, m)
 
         def counted_weights(n, h, N):
             weights.append(n)
@@ -222,7 +237,7 @@ class TestSupportWindow:
 
         ctx = TestFunctionContext(N=N, mu=params.mu, R=cfg.profile.R)
         alone = [
-            snapshot(replace(s, grid=RadialGrid(N, cfg.h, s.u.shape[0])), ctx, params, m)
+            snapshot(replace(s, grid=RadialGrid(N, cfg.h, s.u.shape[0])), params, m)
             for s, m in snapped
         ]
         fresh = monitor_series(ctx, alone)
@@ -362,32 +377,35 @@ class TestEnergy:
 
 
 def _mms_error(N, nr, t_end=1.0, mu=0.5):
-    """L2 error against u* = e^{-t} cos(pi r / (2L)) with exact forcing."""
-    L = 4.0
-    k = math.pi / (2.0 * L)
+    """L2 error against u* = e^{-t} s^6, s = max(1 - r^2/R^2, 0), with exact forcing."""
+    R = L = 4.0
     params = ModelParams(N=N, mu=mu, p=2.0, q=2.0, a=0, b=0)
 
+    def bump(r):
+        return np.maximum(1.0 - (r / R) ** 2, 0.0)
+
     def exact(r, t):
-        return math.exp(-t) * np.cos(k * r)
+        return math.exp(-t) * bump(r) ** 6
 
     def forcing(r, t):
-        # f = u*_tt - Lap u* + mu/(1+t) u*_t  (linear equation)
-        sinc = np.where(r > 0, np.sin(k * r) / np.where(r > 0, r, 1.0), k)
-        lap = math.exp(-t) * (-(k**2) * np.cos(k * r) - (N - 1) * k * sinc)
+        # f = u*_tt - Lap u* + mu/(1+t) u*_t (linear equation), zero for r >= R
+        s = bump(r)
+        lap = math.exp(-t) * (-12.0 * N * s**5 / R**2 + 120.0 * r**2 * s**4 / R**4)
         return exact(r, t) - lap - mu / (1.0 + t) * exact(r, t)
 
-    # R = L keeps the active window covering the whole (non-compact) solution.
+    # u* is supported in r < R, so the support window r <= t + R covers it
     cfg = SimConfig(
-        params=params, eps=1.0, profile=InitialProfile(R=L),
+        params=params, eps=1.0, profile=InitialProfile(R=R),
         L=L, nr=nr, t_max=t_end + 1.0, forcing=forcing,
     )
-    r = np.arange(nr + 1) * cfg.h
+    n = solver._active_hi(cfg, 0.0) + 2
+    u0 = exact(np.arange(n) * cfg.h, 0.0)
     state = State(
-        t=0.0, dt_prev=0.0, u=exact(r, 0.0), u_prev=None,
-        v=-exact(r, 0.0), step=0, grid=RadialGrid(N, cfg.h, nr + 1),
+        t=0.0, dt_prev=0.0, u=u0, u_prev=None, v=-u0, step=0,
+        grid=RadialGrid(N, cfg.h, n),
     )
     state = _march(cfg, state, t_end)
-    err = state.u - exact(r, state.t)
+    err = state.u - exact(np.arange(state.u.shape[0]) * cfg.h, state.t)
     return math.sqrt(cfg.h * float(np.sum(err**2)))
 
 
