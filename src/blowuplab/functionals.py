@@ -5,11 +5,12 @@ G1 = int u psi dx and G2 = int u_t psi dx, Gamma(t), and the nonlinear
 integrals; verifies the F'' identity and desk-scale versions of the
 integral bound and coercivity lemmas.
 
-A snapshot takes every integral on the cells that can be nonzero (the
-active window r <= t + R plus its stencil cell), with the weights and
-log phi of the state's radial grid, so it does no work on the zero-padded
-tail of a stored state, and the psi-weighted ones against phi(r) e^{-t},
-below about e^R there, so no tail overflows. monitor_series
+A snapshot takes every integral on the state's window, the cells that can
+be nonzero (r <= t + R plus the stencil cell), with the weights and log
+phi of the state's radial grid and the nonlinear sources the state holds,
+so it does no work on the zero-padded tail of a stored state and takes
+no power the step also takes. It takes the psi-weighted integrals against
+phi(r) e^{-t}, below about e^R there, so no tail overflows. monitor_series
 scales them by e^t rho(t) and forms Gamma with one log_rho and one
 rho_log_derivative call over a run's snapshot times.
 The radial quadratures of c_fg and lemma31_ratio take specfun's fixed rule.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .specfun import (
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import InitialProfile, State
 
-@dataclass(frozen=True)
-class FunctionalSnapshot:
+class FunctionalSnapshot(NamedTuple):
     """The state integrals at one time; u_phi and v_phi are int u phi e^{-t} dx
     and int u_t phi e^{-t} dx. G1, G2 and Gamma come from monitor_series."""
 
@@ -90,8 +90,8 @@ def monitor_series(ctx: TestFunctionContext, snapshots: list) -> MonitorSeries:
     if not snapshots:  # an unmonitored run takes no rho work
         return MonitorSeries(*[np.empty(0)] * len(MONITOR_COLUMNS))
     col = {
-        f.name: np.array([getattr(s, f.name) for s in snapshots], dtype=float)
-        for f in fields(FunctionalSnapshot)
+        name: np.array(values, dtype=float)
+        for name, values in zip(FunctionalSnapshot._fields, zip(*snapshots))
     }
     t, u_phi, v_phi = col["t"], col.pop("u_phi"), col.pop("v_phi")
     scale = np.exp(log_rho(ctx, t) + t)  # e^t rho(t), from phi e^{-t} to psi
@@ -104,15 +104,15 @@ def snapshot_weights(n: int, h: float, N: int) -> np.ndarray:
     return trapezoid_weights(n, h) * (np.arange(n) * h) ** (N - 1)
 
 
-def compute_snapshot(state: "State", params: ModelParams, m: int) -> FunctionalSnapshot:
+def compute_snapshot(state: "State", params: ModelParams) -> FunctionalSnapshot:
     """The integrals, max|u| and last dt of one state; trapezoid rule on its grid.
 
-    Every integral takes the first m cells, with the weights and log phi of
-    the state's grid; m must cover the cells of u and v that can be nonzero,
-    and the solver passes its active window plus the stencil cell.
+    Every integral takes the state's window, with the weights and log phi
+    of its grid; the nonlinear ones dot the weights with the state's
+    sources |v|^p and |u|^q.
     """
+    m = state.window
     area = surface_area(params.N)
-    mag_u, mag_v = state.mags
     # phi(r) e^{-t} is about e^{r - t}, bounded since the support keeps r <= t + R
     phi_t = np.exp(state.grid.log_phi[:m] - state.t)
 
@@ -121,8 +121,8 @@ def compute_snapshot(state: "State", params: ModelParams, m: int) -> FunctionalS
     G = (1.0 + state.t) ** (params.mu / 2.0) * F
     u_phi = area * float(np.dot(w, state.u[:m] * phi_t))
     v_phi = area * float(np.dot(w, state.v[:m] * phi_t))
-    int_ut_p = area * float(np.dot(w, mag_v[:m] ** params.p))
-    int_u_q = area * float(np.dot(w, mag_u[:m] ** params.q))
+    int_ut_p = area * float(np.dot(w, state.sources.ut_p(params.p)))
+    int_u_q = area * float(np.dot(w, state.sources.u_q(params.q)))
     return FunctionalSnapshot(
         state.t, state.amps[0], F, G, u_phi, v_phi, int_ut_p, int_u_q, state.dt_prev
     )

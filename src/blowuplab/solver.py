@@ -138,20 +138,52 @@ class RadialGrid:
         return RadialGrid(self.N, self.h, n, self.__dict__.get("log_phi", self.known_log_phi))
 
 
+class Sources:
+    """|u| and |v| of one state on its window, and its nonlinear sources |v|^p
+    and |u|^q there, each taken on its first read and kept.
+
+    The step, the Taylor start and the monitor all read a state's sources
+    from here, so each power pass runs at most once per state, and not at
+    all for a source that nothing reads (b = 0 in an unmonitored run). A
+    read with another exponent takes the pass again.
+    """
+
+    __slots__ = ("mag_u", "mag_v", "_ut_p", "_u_q")
+
+    def __init__(self, mag_u: np.ndarray, mag_v: np.ndarray) -> None:
+        self.mag_u, self.mag_v = mag_u, mag_v
+        self._ut_p = self._u_q = (None, None)
+
+    def ut_p(self, p: float) -> np.ndarray:
+        """|v|^p, the |u_t|^p source."""
+        if self._ut_p[0] != p:
+            self._ut_p = (p, np.power(self.mag_v, p))
+        return self._ut_p[1]
+
+    def u_q(self, q: float) -> np.ndarray:
+        """|u|^q, the |u|^q source."""
+        if self._u_q[0] != q:
+            self._u_q = (q, np.power(self.mag_u, q))
+        return self._u_q[1]
+
+
 @dataclass
 class State:
     """Two-level grid state at time t (current level u, previous u_prev).
 
     u, u_prev and v share one length n and hold the first n cells of the
     radial grid, whose RadialGrid of length n is `grid`; every cell past n
-    is zero. The solver keeps n between the active window plus its stencil
-    cell and twice that.
+    is zero. `window` counts the cells that can be nonzero, the active
+    window plus its stencil cell; the solver keeps n between window and
+    twice that.
 
     A state's arrays are never modified after construction: each step and
-    each regrowth builds a new State. That is what lets `mags` be taken once
-    and shared by every reader of the state: `amps` (dt control, the
-    finiteness check and the blow-up test), the step's nonlinear sources and
-    the monitor's nonlinear integrals.
+    each regrowth builds a new State. So |u|, |v| and their maxima `amps`
+    are taken once, on the window, when the state is built, and `sources`
+    takes each power once: every reader of the state (dt control, the
+    finiteness check and the blow-up test, the step and the monitor) shares
+    them. Built without `sources`, a state takes them from u and v; a
+    regrowth, which only zero-pads u and v, passes on its state's own.
     """
 
     t: float
@@ -161,23 +193,22 @@ class State:
     v: np.ndarray  # second-order u_t reconstruction at the current level
     step: int
     grid: RadialGrid
+    window: int
+    sources: Optional[Sources] = field(default=None, repr=False, compare=False)
 
-    @functools.cached_property
-    def mags(self) -> tuple[np.ndarray, np.ndarray]:
-        """(|u|, |v|) over the stored cells; like u and v, never modified."""
-        return np.abs(self.u), np.abs(self.v)
-
-    @functools.cached_property
-    def amps(self) -> tuple[float, float]:
-        """(max|u|, max|v|) over the stored cells, each NaN if its array holds one.
-
-        Cells past the active window are exactly zero, so these are the
-        window maxima; NaN propagates through max and |inf| is inf, so both
-        are finite exactly when every cell of u and v is. The maxima are
-        taken with np.maximum.reduce, the reduction np.max wraps.
-        """
-        mag_u, mag_v = self.mags
-        return float(np.maximum.reduce(mag_u)), float(np.maximum.reduce(mag_v))
+    def __post_init__(self) -> None:
+        if self.sources is None:
+            w = self.window
+            self.sources = Sources(np.abs(self.u[:w]), np.abs(self.v[:w]))
+        # (max|u|, max|v|), each NaN if its array holds one: NaN propagates
+        # through max and |inf| is inf, so both are finite exactly when every
+        # cell is. Cells past the window are exact zeros, so these are the
+        # maxima over the stored cells; np.maximum.reduce is the reduction
+        # np.max wraps.
+        self.amps = (
+            float(np.maximum.reduce(self.sources.mag_u)),
+            float(np.maximum.reduce(self.sources.mag_v)),
+        )
 
     def finite(self) -> bool:
         return all(map(math.isfinite, self.amps))
@@ -218,7 +249,7 @@ def _padded(a: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
 
 def _cover(state: State, hi: int) -> State:
     """state, zero-padded with a grown grid if needed so that it holds cells
-    0..hi + 1.
+    0..hi + 1; its window and sources carry over.
 
     The length grows geometrically (x2), so the number of regrowths is
     logarithmic and the length stays within twice the window.
@@ -233,6 +264,7 @@ def _cover(state: State, hi: int) -> State:
         u_prev=_padded(state.u_prev, n),
         v=_padded(state.v, n),
         grid=state.grid.grown(n),
+        sources=state.sources,
     )
 
 
@@ -241,7 +273,9 @@ def build_initial_state(cfg: SimConfig) -> State:
     n = _active_hi(cfg, 0.0) + 2
     f = cfg.eps * cfg.profile.values(np.arange(n) * cfg.h)
     grid = RadialGrid(cfg.params.N, cfg.h, n)
-    return State(t=0.0, dt_prev=0.0, u=f, u_prev=None, v=f.copy(), step=0, grid=grid)
+    return State(
+        t=0.0, dt_prev=0.0, u=f, u_prev=None, v=f.copy(), step=0, grid=grid, window=n
+    )
 
 
 def propose_dt(state: State, cfg: SimConfig) -> float:
@@ -282,8 +316,8 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
     if state.step == 0:
         w = slice(0, hi + 1)
         u0, v0 = state.u[w], state.v[w]
-        mag_u, mag_v = state.mags
-        src = a * mag_v[w] ** params.p + b * mag_u[w] ** params.q
+        sources = state.sources
+        src = a * sources.ut_p(params.p)[w] + b * sources.u_q(params.q)[w]
         acc = kernels.radial_laplacian(
             state.u, cfg.h, params.N, hi, state.grid.stencil, np.empty(hi + 1), np.empty(hi)
         )
@@ -295,13 +329,14 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         u1[w] = u0 + dt * v0 + 0.5 * dt * dt * acc
         v1[w] = v0 + dt * acc
         return State(
-            t=t_next, dt_prev=dt, u=u1, u_prev=state.u, v=v1, step=1, grid=state.grid
+            t=t_next, dt_prev=dt, u=u1, u_prev=state.u, v=v1, step=1, grid=state.grid,
+            window=hi + 2,
         )
 
     u_next, v_next = kernels.advance(
         state.u,
         state.u_prev,
-        state.mags,
+        state.sources,
         forcing,
         state.t,
         dt,
@@ -324,6 +359,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         v=v_next,
         step=state.step + 1,
         grid=state.grid,
+        window=hi + 2,
     )
 
 
@@ -339,8 +375,8 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
     ctx = TestFunctionContext(N=cfg.params.N, mu=cfg.params.mu, R=cfg.profile.R)
     snaps = []
 
-    def record(state: State) -> None:  # on the active window and its stencil cell
-        snaps.append(compute_snapshot(state, cfg.params, _active_hi(cfg, state.t) + 2))
+    def record(state: State) -> None:
+        snaps.append(compute_snapshot(state, cfg.params))
 
     state = build_initial_state(cfg)
     amp0 = state.amps[0]

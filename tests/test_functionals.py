@@ -45,7 +45,8 @@ def _profile_integral(weight_fn, N, R=1.0):
 
 def _snapshot(state, params):
     """A snapshot over every cell of the state."""
-    return compute_snapshot(state, params, state.u.shape[0])
+    assert state.window == state.u.shape[0]
+    return compute_snapshot(state, params)
 
 
 class TestSnapshot:
@@ -108,8 +109,10 @@ class TestSnapshotWindow:
         m = int((t + R) / h) + 5
         u = InitialProfile(R=R).values(np.abs(np.arange(pad * m) * h - t))
         grid = RadialGrid(params.N, h, pad * m)
-        state = State(t=t, dt_prev=0.0, u=u, u_prev=None, v=0.5 * u, step=0, grid=grid)
-        return compute_snapshot(state, params, m)
+        state = State(
+            t=t, dt_prev=0.0, u=u, u_prev=None, v=0.5 * u, step=0, grid=grid, window=m
+        )
+        return compute_snapshot(state, params)
 
     @pytest.mark.parametrize("t", [650.0, 720.0, 750.0])
     def test_zero_padded_state_past_exp_overflow(self, t):
@@ -141,8 +144,9 @@ class TestSnapshotWindow:
             state = State(
                 t=t, dt_prev=0.0, u=np.concatenate((u, zeros)), u_prev=None,
                 v=np.concatenate((v, zeros)), step=0, grid=RadialGrid(N, 0.05, pad * u.size),
+                window=u.size,
             )
-            s = compute_snapshot(state, params, u.size)
+            s = compute_snapshot(state, params)
             return s.F, s.G, s.u_phi, s.v_phi, s.int_ut_p, s.int_u_q
 
         window = snap(1)
@@ -157,12 +161,12 @@ class TestSnapshotWindow:
         ctx = TestFunctionContext(N=3, mu=self.PARAMS.mu, R=cfg.profile.R)
         snapshot, alone = solver.compute_snapshot, []
 
-        def each(state, params, m):
+        def each(state, params):
             grid = RadialGrid(params.N, cfg.h, state.u.shape[0])
-            own = snapshot(replace(state, grid=grid), params, m)
+            own = snapshot(replace(state, grid=grid), params)
             own = functionals.monitor_series(ctx, [own])
             alone.append((own.G1[0], own.G2[0], own.Gamma[0]))
-            return snapshot(state, params, m)
+            return snapshot(state, params)
 
         monkeypatch.setattr(solver, "compute_snapshot", each)
         res = run(cfg)
