@@ -85,8 +85,9 @@ MONITOR_COLUMNS = tuple(f.name for f in fields(MonitorSeries))
 
 
 def monitor_series(ctx: TestFunctionContext, snapshots: list) -> MonitorSeries:
-    """A run's series from its snapshots: G1, G2 and Gamma take rho from one
-    log_rho and one rho_log_derivative call over the snapshot times."""
+    """A run's series from its snapshots, whose fields become columns through
+    one zip: G1, G2 and Gamma take rho from one log_rho and one
+    rho_log_derivative call over the snapshot times."""
     if not snapshots:  # an unmonitored run takes no rho work
         return MonitorSeries(*[np.empty(0)] * len(MONITOR_COLUMNS))
     col = {

@@ -300,7 +300,9 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
     """Advance one step; the first step is a second-order Taylor start.
 
     dt defaults to propose_dt(state, cfg); a caller that has already
-    proposed it passes it in.
+    proposed it passes it in. A step reads the state's sources on cells
+    0..hi, so it may widen the window by one cell only: dt must stay below
+    h, as the CFL limit keeps it.
     """
     params = cfg.params
     a, b = float(params.a), float(params.b)
@@ -308,6 +310,10 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         dt = propose_dt(state, cfg)
     t_next = state.t + dt
     hi = _active_hi(cfg, t_next)
+    if hi >= state.window:
+        raise ValueError(
+            f"dt = {dt:g} outruns the state's window; it must stay below h = {cfg.h:g}"
+        )
     state = _cover(state, hi)
     forcing = None
     if cfg.forcing is not None:

@@ -145,7 +145,8 @@ def test_dirichlet_boundary_cell():
     n = 30
     u, u_prev, v, forcing = _random_state(n, rng)
     un, vn = kernels.advance(
-        u, u_prev, _sources(u, v), forcing, 0.2, 0.01, 0.01, 0.1, 2, 1.0, 0.0, 1.0, 2.0, 2.2, n - 1,
+        u, u_prev, _sources(u, v), forcing, 0.2, 0.01, 0.01, 0.1, 2, 1.0, 0.0, 1.0, 2.0, 2.2,
+        n - 1,
         kernels.radial_stencil(2, 0.1, n - 1),
     )
     assert un[-1] == 0.0 and vn[-1] == 0.0

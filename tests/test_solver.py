@@ -86,6 +86,15 @@ class TestTimeStepping:
         )
         assert propose_dt(st, cfg) <= 1.05 * 1e-4 + 1e-18
 
+    def test_step_longer_than_h_is_refused(self):
+        # a step reads the state's sources on its window only, which a dt
+        # of h or more outruns
+        cfg = SimConfig(params=LINEAR, eps=0.1, L=12.0, nr=100, t_max=4.0)
+        st = time_step(build_initial_state(cfg), cfg)
+        with pytest.raises(ValueError, match="outruns the state's window"):
+            time_step(st, cfg, 3.0 * cfg.h)
+        assert time_step(st, cfg, 0.99 * cfg.h).window <= st.window + 1
+
     def test_zero_data_stays_zero(self):
         cfg = SimConfig(params=LINEAR, eps=0.0, L=12.0, nr=120, t_max=2.0)
         res = run(cfg)
@@ -362,7 +371,6 @@ class TestMagnitudes:
         assert len({c.u.shape[0] for c in covered}) > 1  # the state regrew
         assert not inner_abs
 
-
     def test_one_source_pass_per_state(self, monkeypatch):
         # a snapshot of every state: the step that advances a state and its
         # snapshot share one |v|^p and one |u|^q pass, taken by the state
@@ -404,7 +412,8 @@ class TestMagnitudes:
             src = s.sources
             assert taken.count(id(src.mag_v)) == taken.count(id(src.mag_u)) == 1
             w = s.grid.weights[: s.window]
-            for column, values in (("int_ut_p", src.ut_p(1.9)), ("int_u_q", src.u_q(2.2))):
+            sources = (("int_ut_p", src.ut_p(params.p)), ("int_u_q", src.u_q(params.q)))
+            for column, values in sources:
                 own = area * float(np.dot(w, values))
                 assert getattr(res.monitors, column)[i].tobytes() == np.float64(own).tobytes()
 
@@ -415,9 +424,9 @@ class TestMagnitudes:
         cfg = replace(cfg, params=replace(params, b=0))
         res = run(cfg, monitor=False)
         assert res.outcome == "blowup"
-        mag_u = {id(c.sources.mag_u) for c in covered}
-        taken = [id(x) for x in passes if id(x) in mag_u]
-        assert taken == [id(covered[0].sources.mag_u)]  # the Taylor start's
+        mag_v = {id(c.sources.mag_v) for c in covered}
+        others = [id(x) for x in passes if id(x) not in mag_v]
+        assert others == [id(covered[0].sources.mag_u)]  # the Taylor start's
         assert covered[0].step == 0
 
 

@@ -147,9 +147,10 @@ def main(argv=None) -> int:
             "what": args.what,
             "parent": parent_sha,
             "method": {
-                "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
-                "pairs": f"seeds {args.seeds[0]}-{args.seeds[-1]} per workload; the parent runs "
-                "first on odd seeds, the change first on even seeds; one run at a time",
+                "command": "python3 perfbench/run.py --workload W --seed S "
+                f"--seconds {args.seconds:g}",
+                "pairs": f"seeds {args.seeds} per workload; the parent runs first on odd "
+                "seeds, the change first on even seeds; one run at a time",
                 "statistics": "median and quartiles (inclusive method) over the per-seed values; "
                 "change_better_pairs counts pairs where the change reads better, ties counting "
                 "for neither; wall_over_setup is each run's wall_s / setup_s",
@@ -193,7 +194,9 @@ def main(argv=None) -> int:
                 doc["seed0_artifacts"][workload] = digests
 
             if args.trace:
-                traced = {s: run_bench(trees[s], workload, 0, 5, trace=1)["metrics"] for s in trees}
+                traced = {
+                    s: run_bench(trees[s], workload, 0, 5, trace=1)["metrics"] for s in trees
+                }
                 doc.setdefault("traced_seed0", {})[workload] = {
                     s: {k: traced[s][k]["value"] for k in TRACED if k in traced[s]}
                     for s in trees
