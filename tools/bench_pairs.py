@@ -137,9 +137,9 @@ def main(argv=None) -> int:
         ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
 
-    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        parent_tree = scratch / "parent"
+        parent_tree = work / "parent"
         parent_tree.mkdir()
         export(parent_sha, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
             doc["workloads"][workload] = entry
 
             digests = {
-                s: artifact_digests(trees[s], workload, scratch / f"artifacts-{s}")
+                s: artifact_digests(trees[s], workload, work / f"artifacts-{s}")
                 for s in trees
             }
             if digests["parent"] == digests["change"]:
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
                     for s in trees
                 }
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
