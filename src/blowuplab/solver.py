@@ -249,23 +249,30 @@ def _padded(a: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
 
 def _cover(state: State, hi: int) -> State:
     """state, zero-padded with a grown grid if needed so that it holds cells
-    0..hi + 1; its window and sources carry over.
+    0..hi + 1, with a window that covers cells 0..hi.
 
     The length grows geometrically (x2), so the number of regrowths is
-    logarithmic and the length stays within twice the window.
+    logarithmic and the length stays within twice the window. A regrowth
+    passes on the state's window and sources. A step whose dt nears h or
+    passes it can reach past the window; the state then widens its window
+    to hi + 2 and takes its sources again there. The cells it gains are
+    exact zeros, so its |u|, |v|, maxima and sources are the old ones,
+    zero-padded.
     """
     n = state.u.shape[0]
-    if hi + 2 <= n:
-        return state
-    n = max(2 * n, hi + 2)
-    return replace(
-        state,
-        u=_padded(state.u, n),
-        u_prev=_padded(state.u_prev, n),
-        v=_padded(state.v, n),
-        grid=state.grid.grown(n),
-        sources=state.sources,
-    )
+    if hi + 2 > n:
+        n = max(2 * n, hi + 2)
+        state = replace(
+            state,
+            u=_padded(state.u, n),
+            u_prev=_padded(state.u_prev, n),
+            v=_padded(state.v, n),
+            grid=state.grid.grown(n),
+            sources=state.sources,
+        )
+    if hi >= state.window:
+        state = replace(state, window=hi + 2, sources=None)
+    return state
 
 
 def build_initial_state(cfg: SimConfig) -> State:
@@ -301,8 +308,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
 
     dt defaults to propose_dt(state, cfg); a caller that has already
     proposed it passes it in. A step reads the state's sources on cells
-    0..hi, so it may widen the window by one cell only: dt must stay below
-    h, as the CFL limit keeps it.
+    0..hi, which _cover makes sure its window covers.
     """
     params = cfg.params
     a, b = float(params.a), float(params.b)
@@ -310,10 +316,6 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         dt = propose_dt(state, cfg)
     t_next = state.t + dt
     hi = _active_hi(cfg, t_next)
-    if hi >= state.window:
-        raise ValueError(
-            f"dt = {dt:g} outruns the state's window; it must stay below h = {cfg.h:g}"
-        )
     state = _cover(state, hi)
     forcing = None
     if cfg.forcing is not None:

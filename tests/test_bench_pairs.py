@@ -29,7 +29,3 @@ def test_summary_of_fixed_pairs():
     assert even["parent_quartiles"] == pytest.approx([1.75, 3.25])
     assert even["change_better_pairs"] == 3
 
-
-def test_seed_ranges():
-    assert bench_pairs.seeds_arg("1-10") == list(range(1, 11))
-    assert bench_pairs.seeds_arg("3,5") == [3, 5]

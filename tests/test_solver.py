@@ -86,14 +86,33 @@ class TestTimeStepping:
         )
         assert propose_dt(st, cfg) <= 1.05 * 1e-4 + 1e-18
 
-    def test_step_longer_than_h_is_refused(self):
-        # a step reads the state's sources on its window only, which a dt
-        # of h or more outruns
-        cfg = SimConfig(params=LINEAR, eps=0.1, L=12.0, nr=100, t_max=4.0)
-        st = time_step(build_initial_state(cfg), cfg)
-        with pytest.raises(ValueError, match="outruns the state's window"):
-            time_step(st, cfg, 3.0 * cfg.h)
-        assert time_step(st, cfg, 0.99 * cfg.h).window <= st.window + 1
+    def test_step_past_the_window_widens_it(self):
+        # a dt of h or more reaches past the state's window; the step must
+        # equal, bitwise, one from a state whose window is its whole grid
+        params = ModelParams(N=2, mu=0.5, p=1.9, q=2.2, a=1, b=1)
+        cfg = SimConfig(params=params, eps=0.5, L=12.0, nr=100, t_max=4.0)
+        first = build_initial_state(cfg)
+        for st in (first, time_step(first, cfg)):  # Taylor start, then the kernel
+            n = 4 * st.u.shape[0]
+            wide = State(
+                t=st.t, dt_prev=st.dt_prev, u=solver._padded(st.u, n),
+                u_prev=solver._padded(st.u_prev, n), v=solver._padded(st.v, n),
+                step=st.step, grid=RadialGrid(params.N, cfg.h, n), window=n,
+            )
+            got, want = time_step(st, cfg, 3.0 * cfg.h), time_step(wide, cfg, 3.0 * cfg.h)
+            assert got.window == want.window > st.window + 1
+            k = got.u.shape[0]
+            for name in ("u", "v"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.tobytes() == b[:k].tobytes() and not b[k:].any()
+
+    def test_cfl_just_below_one_runs(self):
+        # dt is within rounding of h, and at t = 0.2 and 0.4 rounding makes
+        # the step's active window gain two cells, one past the state's window
+        cfg = SimConfig(
+            params=LINEAR, eps=1e-3, L=10.0, nr=100, t_max=2.0, cfl=1.0 - 2.0**-53
+        )
+        assert run(cfg, monitor=False).outcome == "reached_tmax"
 
     def test_zero_data_stays_zero(self):
         cfg = SimConfig(params=LINEAR, eps=0.0, L=12.0, nr=120, t_max=2.0)
@@ -247,7 +266,9 @@ class TestSupportWindow:
 
         ctx = TestFunctionContext(N=N, mu=params.mu, R=cfg.profile.R)
         alone = [
-            snapshot(replace(s, grid=RadialGrid(N, cfg.h, s.u.shape[0])), params)
+            snapshot(
+                replace(s, grid=RadialGrid(N, cfg.h, s.u.shape[0]), sources=None), params
+            )
             for s in snapped
         ]
         fresh = monitor_series(ctx, alone)
@@ -411,6 +432,13 @@ class TestMagnitudes:
         for i, s in enumerate(snapped):
             src = s.sources
             assert taken.count(id(src.mag_v)) == taken.count(id(src.mag_u)) == 1
+            # the state's sources are the powers of its own v and u
+            assert src.ut_p(params.p).tobytes() == (
+                np.abs(s.v[: s.window]) ** params.p
+            ).tobytes()
+            assert src.u_q(params.q).tobytes() == (
+                np.abs(s.u[: s.window]) ** params.q
+            ).tobytes()
             w = s.grid.weights[: s.window]
             sources = (("int_ut_p", src.ut_p(params.p)), ("int_u_q", src.u_q(params.q)))
             for column, values in sources:

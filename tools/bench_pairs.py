@@ -1,13 +1,13 @@
 """Paired benchmark runs of a parent revision against the working tree.
 
-    python3 tools/bench_pairs.py --parent REV --pr N [--workloads A,B]
-        [--seeds 1-10] [--seconds S] [--trace] [--what TEXT]
+    python3 tools/bench_pairs.py --parent REV --pr N [--trace] [--what TEXT]
 
 Run from the root of a checkout. The script exports REV with `git archive`
-into a temporary directory, then, for each workload and seed, runs
-`perfbench/run.py --workload W --seed S --seconds S` once on that tree and
-once on the working tree, one run at a time, the parent first on odd seeds
-and the change first on even ones. It writes BENCH_<N>.json: for each
+into a temporary directory, then, for each workload of BENCHMARK.json and
+each seed 1-10, runs `perfbench/run.py --workload W --seed S --seconds T`,
+T being BENCHMARK.json's run_seconds, once on that tree and once on the
+working tree, one run at a time, the parent first on odd seeds and the
+change first on even ones. It writes BENCH_<N>.json: for each
 end-to-end metric of BENCHMARK.json, both sides' runs, their medians and
 inclusive quartiles, and change_better_pairs, the pairs in which the change
 reads better (ties count for neither). `wall_over_setup` holds the same
@@ -17,7 +17,7 @@ operations, the sha256 (16 hex digits) of every file one seed-0 pass writes
 (listed once when both sides agree), and with --trace the per-layer metrics
 of one traced seed-0 run of each side.
 
-Standard library only. The defaults (workloads, run length) come from the
+Standard library only. The workloads and the run length are read from the
 working tree's BENCHMARK.json.
 """
 
@@ -34,6 +34,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+SEEDS = range(1, 11)
 
 # traced per-layer metrics worth comparing between the sides
 TRACED = (
@@ -80,14 +82,6 @@ def _quartiles(values: list) -> list:
     return [q1, q3]
 
 
-def seeds_arg(text: str) -> list:
-    """'1-10' or '1,3,5' as a list of ints."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
-
-
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The last stdout line of one perfbench/run.py run on `tree`."""
     proc = subprocess.run(
@@ -125,13 +119,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--pr", required=True, help="N of the BENCH_<N>.json written")
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    ap.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-10"))
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("--trace", action="store_true", help="add one traced seed-0 run per side")
     ap.add_argument("--what", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     parent_sha = subprocess.run(
         ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True, check=True
@@ -148,9 +140,9 @@ def main(argv=None) -> int:
             "parent": parent_sha,
             "method": {
                 "command": "python3 perfbench/run.py --workload W --seed S "
-                f"--seconds {args.seconds:g}",
-                "pairs": f"seeds {args.seeds} per workload; the parent runs first on odd "
-                "seeds, the change first on even seeds; one run at a time",
+                f"--seconds {seconds:g}",
+                "pairs": f"seeds {SEEDS.start}-{SEEDS.stop - 1} per workload; the parent runs "
+                "first on odd seeds, the change first on even seeds; one run at a time",
                 "statistics": "median and quartiles (inclusive method) over the per-seed values; "
                 "change_better_pairs counts pairs where the change reads better, ties counting "
                 "for neither; wall_over_setup is each run's wall_s / setup_s",
@@ -161,10 +153,10 @@ def main(argv=None) -> int:
         }
         for workload in workloads:
             runs = {"parent": [], "change": []}
-            for seed in args.seeds:
+            for seed in SEEDS:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for side in order:
-                    result = run_bench(trees[side], workload, seed, args.seconds)
+                    result = run_bench(trees[side], workload, seed, seconds)
                     runs[side].append(result)
                     print(workload, seed, side, json.dumps(result["metrics"]), file=sys.stderr)
             entry = {}
