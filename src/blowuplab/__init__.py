@@ -36,7 +36,6 @@ from .lifespan import (
 )
 from .solver import (
     InitialProfile,
-    LifespanEstimate,
     RunResult,
     SimConfig,
     State,

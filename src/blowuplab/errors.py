@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Only failures raise. A run's or a sweep row's outcome ("blowup",
+"reached_tmax" or "unstable") is a value on its result, not an exception.
+"""
 
 
 class BlowupLabError(Exception):
@@ -15,15 +19,6 @@ class ConfigError(BlowupLabError, ValueError):
 
 class NoTheoremError(BlowupLabError, ValueError):
     """No blow-up theorem applies to the given parameters."""
-
-
-class NoBlowUpObservedError(BlowupLabError, RuntimeError):
-    """A lifespan measurement was requested but a run did not blow up.
-
-    `outcome` is the run's outcome: "reached_tmax" or "unstable".
-    """
-
-    outcome = "reached_tmax"
 
 
 class InsufficientDataError(BlowupLabError, ValueError):

@@ -7,6 +7,7 @@ law), and issues a consistency verdict against the theoretical exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -15,24 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, KindMismatchError
-from .errors import NoBlowUpObservedError
 from .exponents import LifespanBound, lifespan_exponent
-from .solver import SimConfig, measure_lifespan
+from .solver import SimConfig, SweepRow, measure_lifespan
 
 DEFAULT_TAU = 0.25
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    eps: float
-    T_est: float
-    uncertainty: float
-    outcome: str  # "blowup" | "reached_tmax" | "unstable"
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    rows: tuple
+    rows: tuple[SweepRow, ...]
     base: SimConfig
     bound: LifespanBound
 
@@ -56,24 +48,17 @@ class Verdict:
     tau: float
 
 
-def _measure_row(args) -> SweepRow:
-    cfg, refine = args
-    try:
-        est = measure_lifespan(cfg, refine)
-        return SweepRow(cfg.eps, est.t_est, est.uncertainty, "blowup")
-    except NoBlowUpObservedError as exc:
-        return SweepRow(cfg.eps, math.nan, math.nan, exc.outcome)
-
-
 def sweep(
     base: SimConfig, eps_list, refine: int = 2, jobs: int = 1
 ) -> SweepResult:
     """One measure_lifespan row per epsilon, largest epsilon first.
 
-    The largest-epsilon run calibrates the constant in T ~ C eps^{-k}
-    (k from the theoretical bound); the horizon for smaller epsilons is
-    grown to at least 3x the predicted lifespan. Only eps and t_max change
-    from row to row, so every row's level l runs at h = base.h / 2**l.
+    The largest-epsilon row calibrates the constant in T ~ C eps^{-k}
+    (k from the theoretical bound) if it blew up; the horizon for smaller
+    epsilons is grown to at least 3x the predicted lifespan. Only eps and
+    t_max change from row to row, so every row's level l runs at
+    h = base.h / 2**l. A row that reached t_max or went unstable is kept
+    with its outcome; the fits leave it out.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
@@ -85,8 +70,9 @@ def sweep(
 
     bound = lifespan_exponent(base.params)
 
+    measure = functools.partial(measure_lifespan, refine=refine)
     eps0 = eps_list[0]
-    first = _measure_row((replace(base, eps=eps0), refine))
+    first = measure(replace(base, eps=eps0))
     rows = [first]
 
     if first.outcome == "blowup" and bound.kind == "algebraic":
@@ -95,21 +81,18 @@ def sweep(
     else:
         t_pred = lambda e: base.t_max
 
-    tail_args = []
-    for e in eps_list[1:]:
-        t_max = max(base.t_max, 3.0 * t_pred(e))
-        tail_args.append((replace(base, eps=e, t_max=t_max), refine))
+    tail = [replace(base, eps=e, t_max=max(base.t_max, 3.0 * t_pred(e))) for e in eps_list[1:]]
 
     # a pool forks all its workers at once: no more than the rows and CPUs
-    workers = min(jobs, len(tail_args), os.cpu_count() or 1)
+    workers = min(jobs, len(tail), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the serial path should not pay for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows.extend(pool.map(_measure_row, tail_args))
+            rows.extend(pool.map(measure, tail))
     else:
-        rows.extend(_measure_row(a) for a in tail_args)
+        rows.extend(map(measure, tail))
     return SweepResult(tuple(rows), base, bound)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, NoBlowUpObservedError, NoTheoremError
+from .errors import ConfigError, NoTheoremError
 from .exponents import ModelParams, RegionClassification, classify
 from .functionals import MonitorSeries, compute_snapshot, monitor_series, snapshot_weights
 from .specfun import TestFunctionContext, log_phi, surface_area
@@ -90,18 +90,32 @@ class SimConfig:
             raise ConfigError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ConfigError(f"t_max must be finite and positive, got {self.t_max}")
-        if not (math.isfinite(self.blowup_threshold) and self.blowup_threshold > 0):
+        # at a threshold <= 1 the first step's amplitude already counts as blow-up
+        if not (math.isfinite(self.blowup_threshold) and self.blowup_threshold > 1):
             raise ConfigError(
-                f"blowup_threshold must be finite and positive, got {self.blowup_threshold}"
+                f"blowup_threshold must be finite and > 1, got {self.blowup_threshold}"
             )
         if not (math.isfinite(self.dt_min) and self.dt_min >= 0):
             raise ConfigError(f"dt_min must be finite and nonnegative, got {self.dt_min}")
+        # propose_dt never exceeds this bound, so at or below dt_min every run
+        # would end as blow-up at t = 0
+        dt_max = min(self.cfl_dt, ETA)
+        if dt_max <= self.dt_min:
+            raise ConfigError(
+                f"dt_min must lie below min(cfl h / sqrt(N), {ETA}) = {dt_max:g} "
+                f"at nr={self.nr}, got {self.dt_min}"
+            )
         if self.monitor_stride < 1:
             raise ConfigError(f"monitor_stride must be >= 1, got {self.monitor_stride}")
 
     @property
     def h(self) -> float:
         return self.L / self.nr
+
+    @property
+    def cfl_dt(self) -> float:
+        """The CFL step cfl h / sqrt(N) that caps every step (propose_dt)."""
+        return self.cfl * self.h / math.sqrt(self.params.N)
 
 
 @dataclass(frozen=True)
@@ -225,14 +239,6 @@ class RunResult:
     amp0: float
 
 
-@dataclass(frozen=True)
-class LifespanEstimate:
-    t_est: float
-    uncertainty: float
-    levels: tuple
-    extrapolated: bool
-
-
 def _active_hi(cfg: SimConfig, t: float) -> int:
     # Finite speed of propagation: nothing outside r <= t + R can be nonzero,
     # so cells beyond a small stencil margin are pinned to exact zero.
@@ -297,7 +303,7 @@ def propose_dt(state: State, cfg: SimConfig) -> float:
     p, q = cfg.params.p, cfg.params.q
     amp_u, amp_v = state.amps
     amp = amp_u ** (q - 1.0) + amp_v ** (p - 1.0) + 1.0
-    dt = min(cfg.cfl * cfg.h / math.sqrt(cfg.params.N), ETA / amp)
+    dt = min(cfg.cfl_dt, ETA / amp)
     if state.dt_prev > 0:
         dt = min(dt, DT_GROWTH * state.dt_prev)
     return dt
@@ -423,13 +429,33 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
     )
 
 
-def measure_lifespan(cfg: SimConfig, refine: int = 2) -> LifespanEstimate:
-    """Blow-up time across grid refinements with Richardson extrapolation.
+@dataclass(frozen=True)
+class SweepRow:
+    """One epsilon's measured lifespan, as measure_lifespan returns it.
 
-    Runs at nr, 2nr, ... (refine levels). With >= 3 levels the convergence
-    order is estimated from the level differences; with 2 it is assumed to
-    be the scheme order 2. Non-monotone level sequences fail over to the
-    finest-level value with the uncertainty flagged.
+    `levels` holds the blow-up time of each grid level that blew up. A row
+    whose outcome is not "blowup" has NaN T_est and uncertainty; it is a
+    measurement, not an error: a censored row says T > t_max.
+    """
+
+    eps: float
+    T_est: float
+    uncertainty: float
+    outcome: str  # "blowup" | "reached_tmax" | "unstable"
+    levels: tuple = ()
+
+
+def measure_lifespan(cfg: SimConfig, refine: int = 2) -> SweepRow:
+    """The sweep row of cfg: its blow-up time across grid refinements, with
+    Richardson extrapolation.
+
+    Runs at nr, 2nr, ... (refine levels), building and so checking every
+    level's config before the first run. At the first level that does not
+    blow up the row takes that level's outcome, NaN T_est and uncertainty,
+    and the levels before it. With >= 3 levels the convergence order is
+    estimated from the level differences; with 2 it is assumed to be the
+    scheme order 2. A non-monotone level sequence falls back to the finest
+    level's value. The uncertainty is the last level difference.
     """
     if refine < 1:
         raise ConfigError(f"refine must be >= 1, got {refine}")
@@ -437,31 +463,20 @@ def measure_lifespan(cfg: SimConfig, refine: int = 2) -> LifespanEstimate:
     if tag is RegionClassification.NO_THEOREM:
         raise NoTheoremError(f"no blow-up theorem applies to {cfg.params}")
 
+    level_cfgs = [replace(cfg, nr=cfg.nr * 2**level) for level in range(refine)]
     ts = []
-    for level in range(refine):
-        level_cfg = replace(cfg, nr=cfg.nr * 2**level)
+    for level_cfg in level_cfgs:
         result = run(level_cfg, monitor=False)
         if result.outcome != "blowup":
-            exc = NoBlowUpObservedError(
-                f"run at level {level} ended with {result.outcome!r} "
-                f"(t_max={cfg.t_max}, eps={cfg.eps})"
-            )
-            exc.outcome = result.outcome
-            raise exc
+            return SweepRow(cfg.eps, math.nan, math.nan, result.outcome, tuple(ts))
         ts.append(result.t_blowup)
 
-    levels = tuple(ts)
-    if refine == 1:
-        return LifespanEstimate(ts[0], math.nan, levels, extrapolated=False)
     d = np.diff(ts)
-    unc = abs(float(d[-1]))
+    t_est = ts[-1]
+    unc = abs(float(d[-1])) if refine > 1 else math.nan
     if refine == 2:
-        return LifespanEstimate(ts[1] + float(d[0]) / 3.0, unc, levels, True)
-    monotone = (
-        abs(d[-1]) < abs(d[-2]) and d[-1] * d[-2] > 0 and abs(d[-2]) > 0
-    )
-    if not monotone:
-        return LifespanEstimate(ts[-1], unc, levels, extrapolated=False)
-    alpha = math.log2(abs(d[-2]) / abs(d[-1]))
-    t_est = ts[-1] + float(d[-1]) / (2.0**alpha - 1.0)
-    return LifespanEstimate(t_est, unc, levels, extrapolated=True)
+        t_est = ts[1] + float(d[0]) / 3.0
+    elif refine > 2 and abs(d[-1]) < abs(d[-2]) and d[-1] * d[-2] > 0 and abs(d[-2]) > 0:
+        alpha = math.log2(abs(d[-2]) / abs(d[-1]))
+        t_est = ts[-1] + float(d[-1]) / (2.0**alpha - 1.0)
+    return SweepRow(cfg.eps, t_est, unc, "blowup", tuple(ts))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,20 @@ def fake_runs(monkeypatch):
 
     Call the fixture with the set of unstable eps values; k is the model's
     theoretical exponent, so a sweep's power-law fit is exactly consistent.
+    `finer` maps an eps to the outcome of its runs after the first, the
+    finer grid levels of its row.
     """
 
-    def install(unstable=()):
+    def install(unstable=(), finer=None):
+        calls = Counter()
+
         def fake_run(cfg, monitor=True):
             empty = MonitorSeries(*[np.empty(0)] * len(MONITOR_COLUMNS))
+            calls[cfg.eps] += 1
             if cfg.eps in unstable:
                 return RunResult("unstable", None, "non-finite", empty, cfg.h, 1, cfg.eps)
+            if finer and cfg.eps in finer and calls[cfg.eps] > 1:
+                return RunResult(finer[cfg.eps], None, "fake", empty, cfg.h, 1, cfg.eps)
             t = 2.0 * cfg.eps ** -lifespan_exponent(cfg.params).exponent
             return RunResult("blowup", t, "fake", empty, cfg.h, 1, cfg.eps)
 

@@ -291,6 +291,24 @@ class TestSweep:
             assert fit["verdict"]["verdict"] == "consistent"
             assert "unstable_rows" not in fit
 
+    @pytest.mark.parametrize("outcome", ["unstable", "reached_tmax"])
+    def test_row_whose_finer_level_does_not_blow_up(self, tmp_path, fake_runs, outcome):
+        # level 0 of the 0.3 row blows up, level 1 does not: its line keeps
+        # the columns, with nan cells
+        fake_runs(finer={0.3: outcome})
+        doc = dict(SWEEP_CONFIG, eps_list=[0.4, 0.3, 0.2, 0.1], refine=2)
+        out = tmp_path / "results"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["sweep", "--config", _write(tmp_path, "s.json", doc), "--out", str(out)])
+        assert code == 0
+        table = (next(out.iterdir()) / "sweep.csv").read_text().splitlines()
+        assert table[0] == "eps,T_est,uncertainty,outcome"
+        assert table[2] == f"0.3,nan,nan,{outcome}"
+        assert [line.rsplit(",", 1)[1] for line in table[1:]] == [
+            "blowup", outcome, "blowup", "blowup"
+        ]
+
     def test_missing_eps_list_exit_2(self, tmp_path):
         cfg = _write(tmp_path, "sweep.json", {"base": RUN_CONFIG})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
@@ -350,6 +368,15 @@ class TestSweep:
         ("sweep --tau=1.5", SWEEP_CONFIG),
         # cfl must lie in (0, 1): at cfl 1 leapfrog's grid-scale mode is marginal
         ("solve", dict(RUN_CONFIG, cfl=1.0)),
+        # at a threshold <= 1 every run would count as blow-up after one step
+        ("solve", dict(RUN_CONFIG, blowup_threshold=0.5)),
+        ("solve", dict(RUN_CONFIG, blowup_threshold=1.0)),
+        # at a largest step min(cfl h / sqrt(N), 0.5) <= dt_min, after none
+        ("solve", dict(RUN_CONFIG, cfl=1e-9)),
+        ("solve", dict(RUN_CONFIG, dt_min=0.06)),
+        ("solve", dict(RUN_CONFIG, dt_min=0.5, L=640.0, nr=64)),
+        # h = 0.06 at refine level 0, 0.03 at level 1: level 1 fails before any run
+        ("sweep", dict(SWEEP_CONFIG, base=dict(RUN_CONFIG, dt_min=0.04), refine=2)),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):

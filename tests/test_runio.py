@@ -24,7 +24,7 @@ from blowuplab.runio import (
     read_series_csv,
     write_series_csv,
 )
-from blowuplab.solver import InitialProfile, SimConfig
+from blowuplab.solver import ETA, InitialProfile, SimConfig
 
 PARAMS = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=1, b=0)
 
@@ -219,18 +219,21 @@ def _sim_configs(draw):
     )
     profile = InitialProfile(R=draw(_POSITIVE))
     t_max = draw(_POSITIVE)
-    return SimConfig(
+    cfg = SimConfig(
         params=params,
         eps=draw(hs.floats(0.0, 1e3)),
         profile=profile,
         L=draw(_POSITIVE),
         nr=draw(hs.integers(64, 1 << 24)),
-        cfl=draw(hs.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        cfl=draw(hs.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False)),
         t_max=t_max,
-        blowup_threshold=draw(_POSITIVE),
-        dt_min=draw(_POSITIVE),
+        blowup_threshold=draw(hs.floats(1.0, 1e6, exclude_min=True)),
+        dt_min=0.0,
         monitor_stride=draw(hs.integers(1, 1000)),
     )
+    # a valid dt_min lies below the largest step the config allows
+    dt_max = min(cfg.cfl_dt, ETA)
+    return dataclasses.replace(cfg, dt_min=draw(hs.floats(0.0, dt_max, exclude_max=True)))
 
 
 def _shuffled(obj, rng):

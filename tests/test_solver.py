@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from blowuplab import kernels, solver
-from blowuplab.errors import ConfigError, NoBlowUpObservedError
-from blowuplab.exponents import ModelParams
+from blowuplab.errors import ConfigError
+from blowuplab.exponents import ModelParams, lifespan_exponent
 from blowuplab.functionals import MONITOR_COLUMNS, monitor_series
 from blowuplab.solver import (
     InitialProfile,
@@ -49,6 +49,24 @@ class TestConfig:
         assert f[0] == pytest.approx(1.0)
         assert np.all(f >= 0.0)
         assert np.all(f[r >= 2.0] == 0.0)
+
+    def test_threshold_and_dt_min_bounds_are_sharp(self):
+        # at a threshold <= 1, or at a largest step min(cfl h / sqrt(N), ETA)
+        # <= dt_min, every run was labelled blow-up after one step or none;
+        # with the defaults this one reaches t_max in 112 steps
+        params = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=1, b=0)
+        cfg = SimConfig(params=params, eps=0.01, L=12.0, nr=600, t_max=2.0)
+        assert run(cfg, monitor=False).steps == 112
+        replace(cfg, blowup_threshold=math.nextafter(1.0, 2.0))
+        with pytest.raises(ConfigError, match="blowup_threshold"):
+            replace(cfg, blowup_threshold=1.0)
+        replace(cfg, dt_min=math.nextafter(cfg.cfl_dt, 0.0))
+        with pytest.raises(ConfigError, match="dt_min"):
+            replace(cfg, dt_min=cfg.cfl_dt)
+        big_h = replace(cfg, nr=64, L=640.0)  # cfl h > ETA: ETA is the bound
+        replace(big_h, dt_min=math.nextafter(solver.ETA, 0.0))
+        with pytest.raises(ConfigError, match="dt_min"):
+            replace(big_h, dt_min=solver.ETA)
 
     def test_initial_state_scaling(self):
         cfg = SimConfig(params=LINEAR, eps=0.25, L=12.0, nr=120, t_max=4.0)
@@ -606,7 +624,7 @@ class TestMeasureLifespan:
         t_fine = est.levels[-1]
         for t in est.levels:
             assert abs(t - t_fine) / t_fine < 0.05
-        assert est.t_est == pytest.approx(t_fine, rel=0.05)
+        assert est.T_est == pytest.approx(t_fine, rel=0.05)
 
     def test_richardson_improves_on_coarse(self):
         cfg = SimConfig(params=self.PARAMS, eps=0.4, L=12.0, nr=150, t_max=10.0)
@@ -616,12 +634,35 @@ class TestMeasureLifespan:
         # the refine=2 extrapolation should land closer to it than its own
         # coarse level does.
         ref = est3.levels[-1]
-        assert abs(est2.t_est - ref) < abs(est2.levels[0] - ref)
+        assert abs(est2.T_est - ref) < abs(est2.levels[0] - ref)
 
-    def test_no_blowup_raises(self):
+    def test_no_blowup_row_keeps_its_outcome(self):
         cfg = SimConfig(params=self.PARAMS, eps=0.01, L=12.0, nr=150, t_max=2.0)
-        with pytest.raises(NoBlowUpObservedError):
-            measure_lifespan(cfg, refine=1)
+        row = measure_lifespan(cfg, refine=1)
+        assert (row.eps, row.outcome, row.levels) == (0.01, "reached_tmax", ())
+        assert math.isnan(row.T_est) and math.isnan(row.uncertainty)
+
+    @pytest.mark.parametrize("outcome", ["unstable", "reached_tmax"])
+    def test_finer_level_without_blowup_ends_the_row(self, fake_runs, outcome):
+        # level 0 blows up at T0 and level 1 does not: the row takes level 1's
+        # outcome, NaN T_est and uncertainty, and level 0 alone
+        fake_runs(finer={0.4: outcome})
+        cfg = SimConfig(params=self.PARAMS, eps=0.4, L=12.0, nr=150, t_max=10.0)
+        row = measure_lifespan(cfg, refine=3)
+        t0 = 2.0 * 0.4 ** -lifespan_exponent(self.PARAMS).exponent
+        assert (row.eps, row.outcome, row.levels) == (0.4, outcome, (t0,))
+        assert math.isnan(row.T_est) and math.isnan(row.uncertainty)
+
+    def test_infeasible_finer_level_fails_before_any_run(self, monkeypatch):
+        # at nr = 1200 the CFL step 0.009 is below dt_min = 0.01; at 600 it is not
+        cfg = SimConfig(params=self.PARAMS, eps=0.4, L=12.0, nr=600, t_max=10.0, dt_min=0.01)
+
+        def no_run(cfg, monitor=True):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(solver, "run", no_run)
+        with pytest.raises(ConfigError, match="dt_min"):
+            measure_lifespan(cfg, refine=2)
 
     def test_refine_validation(self):
         cfg = SimConfig(params=self.PARAMS, eps=0.4, L=12.0, nr=150, t_max=10.0)
