@@ -50,10 +50,8 @@ from .specfun import (
     bessel_k,
     log_bessel_k,
     log_phi,
-    log_psi,
     log_rho,
     phi,
-    psi,
     rho,
     rho_log_derivative,
     surface_area,

@@ -41,10 +41,6 @@ class ModelParams:
         if self.a not in (0, 1) or self.b not in (0, 1):
             raise ConfigError(f"a, b must be flags in {{0, 1}}, got a={self.a}, b={self.b}")
 
-    @property
-    def linear(self) -> bool:
-        return self.a == 0 and self.b == 0
-
 
 class RegionClassification(enum.Enum):
     DERIVATIVE_BLOWUP = "DerivativeBlowUp"
@@ -59,7 +55,6 @@ class LifespanBound:
 
     kind: str  # "algebraic" | "exponential" | "none"
     exponent: float | None = None
-    note: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in ("algebraic", "exponential", "none"):
@@ -153,7 +148,7 @@ def lifespan_exponent(params: ModelParams) -> LifespanBound:
             2.0 * (params.p - 1.0) / (2.0 - (d - 1.0) * (params.p - 1.0)),
         )
     # Pure-power branch: the bound belongs to prior literature, not stated here.
-    return LifespanBound("none", None, note="q <= q_S branch: no bound stated")
+    return LifespanBound("none")
 
 
 def thresholds(params: ModelParams) -> dict:

@@ -145,8 +145,6 @@ def c_fg(ctx: TestFunctionContext, profile: "InitialProfile", eps: float) -> flo
 
 @dataclass(frozen=True)
 class ResidualReport:
-    t: np.ndarray
-    residual: np.ndarray
     relative: np.ndarray
 
 
@@ -168,7 +166,7 @@ def residual_F(series: MonitorSeries, params: ModelParams) -> ResidualReport:
     nl = params.a * series.int_ut_p + params.b * series.int_u_q
     res = Fpp + damp - nl
     scale = np.abs(Fpp) + np.abs(damp) + np.abs(nl) + 1e-300
-    return ResidualReport(t=t, residual=res, relative=np.abs(res) / scale)
+    return ResidualReport(relative=np.abs(res) / scale)
 
 
 def lemma31_ratio(ctx: TestFunctionContext, t: float, r_exp: float) -> float:
@@ -200,8 +198,6 @@ def lemma31_ratio(ctx: TestFunctionContext, t: float, r_exp: float) -> float:
 
 @dataclass(frozen=True)
 class CoercivityReport:
-    t_lo: float
-    t_hi: float
     min_g1_over_eps: float
     min_g2_over_eps: float
     violated: bool
@@ -223,7 +219,7 @@ def coercivity_report(
         )
     if eps <= 0:
         # Zero data: report zeros and flag (the lemmas need nonvanishing data).
-        return CoercivityReport(t_lo, t_hi, 0.0, 0.0, violated=True)
+        return CoercivityReport(0.0, 0.0, violated=True)
     g1 = float(np.min(series.G1[mask])) / eps
     g2 = float(np.min(series.G2[mask])) / eps
-    return CoercivityReport(t_lo, t_hi, g1, g2, violated=not (g1 > 0 and g2 > 0))
+    return CoercivityReport(g1, g2, violated=not (g1 > 0 and g2 > 0))

@@ -25,7 +25,6 @@ DEFAULT_TAU = 0.25
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    base: SimConfig
     bound: LifespanBound
 
 
@@ -93,7 +92,7 @@ def sweep(
             rows.extend(pool.map(measure, tail))
     else:
         rows.extend(map(measure, tail))
-    return SweepResult(tuple(rows), base, bound)
+    return SweepResult(tuple(rows), bound)
 
 
 def _blowup_rows(result: SweepResult):

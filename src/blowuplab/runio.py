@@ -191,7 +191,7 @@ def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Pa
         "outcome": result.outcome,
         "t_blowup": result.t_blowup,
         "reason": result.reason,
-        "grid": {"h": result.h, "nr": cfg.nr, "L": cfg.L},
+        "grid": {"h": cfg.h, "nr": cfg.nr, "L": cfg.L},
         "steps": result.steps,
         "amp0": result.amp0,
     }

@@ -234,7 +234,6 @@ class RunResult:
     t_blowup: Optional[float]
     reason: str
     monitors: MonitorSeries
-    h: float
     steps: int
     amp0: float
 
@@ -338,33 +337,29 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         acc = acc - params.mu * v0 + src
         if forcing is not None:
             acc = acc + forcing
-        u1 = np.zeros_like(state.u)
-        v1 = np.zeros_like(state.u)
-        u1[w] = u0 + dt * v0 + 0.5 * dt * dt * acc
-        v1[w] = v0 + dt * acc
-        return State(
-            t=t_next, dt_prev=dt, u=u1, u_prev=state.u, v=v1, step=1, grid=state.grid,
-            window=hi + 2,
+        u_next = np.zeros_like(state.u)
+        v_next = np.zeros_like(state.u)
+        u_next[w] = u0 + dt * v0 + 0.5 * dt * dt * acc
+        v_next[w] = v0 + dt * acc
+    else:
+        u_next, v_next = kernels.advance(
+            state.u,
+            state.u_prev,
+            state.sources,
+            forcing,
+            state.t,
+            dt,
+            state.dt_prev,
+            cfg.h,
+            params.N,
+            params.mu,
+            a,
+            b,
+            params.p,
+            params.q,
+            hi,
+            state.grid.stencil,
         )
-
-    u_next, v_next = kernels.advance(
-        state.u,
-        state.u_prev,
-        state.sources,
-        forcing,
-        state.t,
-        dt,
-        state.dt_prev,
-        cfg.h,
-        params.N,
-        params.mu,
-        a,
-        b,
-        params.p,
-        params.q,
-        hi,
-        state.grid.stencil,
-    )
     return State(
         t=t_next,
         dt_prev=dt,
@@ -423,7 +418,6 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
         t_blowup=t_blow,
         reason=reason,
         monitors=monitor_series(ctx, snaps),
-        h=cfg.h,
         steps=state.step,
         amp0=amp0,
     )

@@ -2,8 +2,9 @@
 
 Provides the modified Bessel function of the second kind K_nu (by direct
 quadrature of its integral representation), the radial eigenfunction phi
-of the Laplacian (Delta phi = phi), the time profile rho built from K,
-and the separable test function psi(r, t) = rho(t) * phi(r).
+of the Laplacian (Delta phi = phi) and the time profile rho built from K.
+The test function psi(r, t) = rho(t) * phi(r) enters only through its log
+factors, log rho(t) + log phi(r), which the monitor and lemma layer add.
 
 Everything is evaluated in scaled/log form internally so that the e^{+-t}
 factors never overflow double precision; plain-valued accessors exponentiate
@@ -217,13 +218,3 @@ def rho_log_derivative(ctx: TestFunctionContext, t):
     hi = _kv_scaled((ctx.mu + 1.0) / 2.0, t + 1.0)
     lo = _kv_scaled((ctx.mu - 1.0) / 2.0, t + 1.0)
     return ctx.mu / (1.0 + t) - hi / lo
-
-
-def psi(ctx: TestFunctionContext, r: float, t: float) -> float:
-    """psi(r, t) = rho(t) * phi(r)."""
-    return rho(ctx, t) * phi(ctx.N, r)
-
-
-def log_psi(ctx: TestFunctionContext, r, t: float):
-    """log psi(r, t) = log rho(t) + log phi(r); overflow-safe."""
-    return log_rho(ctx, t) + log_phi(ctx.N, r)

@@ -30,11 +30,11 @@ def fake_runs(monkeypatch):
             empty = MonitorSeries(*[np.empty(0)] * len(MONITOR_COLUMNS))
             calls[cfg.eps] += 1
             if cfg.eps in unstable:
-                return RunResult("unstable", None, "non-finite", empty, cfg.h, 1, cfg.eps)
+                return RunResult("unstable", None, "non-finite", empty, 1, cfg.eps)
             if finer and cfg.eps in finer and calls[cfg.eps] > 1:
-                return RunResult(finer[cfg.eps], None, "fake", empty, cfg.h, 1, cfg.eps)
+                return RunResult(finer[cfg.eps], None, "fake", empty, 1, cfg.eps)
             t = 2.0 * cfg.eps ** -lifespan_exponent(cfg.params).exponent
-            return RunResult("blowup", t, "fake", empty, cfg.h, 1, cfg.eps)
+            return RunResult("blowup", t, "fake", empty, 1, cfg.eps)
 
         monkeypatch.setattr(blowuplab.solver, "run", fake_run)
 

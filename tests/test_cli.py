@@ -170,6 +170,9 @@ class TestVerify:
             ({"config": {"params": RUN_CONFIG["params"], "eps": 0.4}}, "profile"),
             ({"config": {"params": RUN_CONFIG["params"], "profile": {}, "eps": 0.4}}, "R"),
             ({"config": {"params": RUN_CONFIG["params"], "profile": {"R": 1.0}}}, "eps"),
+            # the config is read as a run config: every rule of one applies
+            ({"config": {"params": RUN_CONFIG["params"], "profile": {"R": 1.0}, "eps": 0.4}}, "L"),
+            ({"config": dict(RUN_CONFIG, profile={"R": 1.0}, nr=10)}, 10),
         ],
     )
     def test_verify_malformed_manifest_exit_2(self, tmp_path, capsys, manifest, key):
@@ -245,6 +248,21 @@ class TestVerify:
         assert report["coercivity"]["status"] == "skipped"
         assert "error" in report["coercivity"]
         assert "minG1_over_eps" not in report["coercivity"]
+
+    def test_too_few_snapshots_for_the_residual_is_skipped(self, tmp_path, capsys):
+        # 4 steps and 2 snapshots: too few for the F'' identity's differences
+        out = tmp_path / "results"
+        cfg = _write(tmp_path, "run.json", dict(RUN_CONFIG, t_max=0.2))
+        main(["solve", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        run_dir = next(out.iterdir())
+        assert main(["verify", str(run_dir)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == json.loads((run_dir / "verify.json").read_text())
+        for check in ("residual_F", "coercivity"):
+            assert report[check]["status"] == "skipped"
+        assert "need >= 5 monitor times" in report["residual_F"]["error"]
+        assert "max_rel" not in report["residual_F"]
 
 
 class TestSweep:

@@ -26,10 +26,11 @@ from blowuplab.exponents import (
 class TestModelParams:
     def test_valid(self):
         p = ModelParams(N=3, mu=0.5, p=1.9, q=2.2, a=1, b=1)
-        assert not p.linear
+        assert (p.a, p.b) == (1, 1)
 
     def test_linear_allowed(self):
-        assert ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=0, b=0).linear
+        p = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=0, b=0)
+        assert (p.a, p.b) == (0, 0)
 
     @pytest.mark.parametrize(
         "kw",

@@ -40,7 +40,7 @@ def _synthetic(eps_list, k, C=2.0, kind="algebraic", noise=None):
         if noise is not None:
             t *= 1.0 + noise[i]
         rows.append(SweepRow(eps=e, T_est=t, uncertainty=0.0, outcome="blowup"))
-    return SweepResult(tuple(rows), BASE, LifespanBound(kind, k))
+    return SweepResult(tuple(rows), LifespanBound(kind, k))
 
 
 class TestFits:
@@ -64,7 +64,7 @@ class TestFits:
             SweepRow(e, math.exp(C * e ** -(p - 1.0)), 0.0, "blowup")
             for e in (0.5, 0.4, 0.3, 0.2)
         )
-        res = SweepResult(rows, BASE, LifespanBound("exponential", p - 1.0))
+        res = SweepResult(rows, LifespanBound("exponential", p - 1.0))
         fit = fit_exponential_law(res, p)
         assert fit.slope == pytest.approx(C, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -76,7 +76,7 @@ class TestFits:
             SweepRow(0.1, 63.0, 0.0, "blowup"),
             SweepRow(0.05, math.nan, math.nan, "reached_tmax"),
         )
-        res = SweepResult(rows, BASE, LifespanBound("algebraic", 4.0 / 3.0))
+        res = SweepResult(rows, LifespanBound("algebraic", 4.0 / 3.0))
         with pytest.warns(UserWarning, match="censored"):
             fit = fit_power_law(res)
         assert fit.n_points == 3
@@ -87,7 +87,7 @@ class TestFits:
             SweepRow(0.2, math.nan, math.nan, "reached_tmax"),
             SweepRow(0.1, math.nan, math.nan, "reached_tmax"),
         )
-        res = SweepResult(rows, BASE, LifespanBound("algebraic", 4.0 / 3.0))
+        res = SweepResult(rows, LifespanBound("algebraic", 4.0 / 3.0))
         with pytest.warns(UserWarning, match="censored"):
             with pytest.raises(InsufficientDataError):
                 fit_power_law(res)
@@ -237,7 +237,7 @@ class TestOutcomes:
             SweepRow(0.15, math.nan, math.nan, "reached_tmax"),
             SweepRow(0.1, math.nan, math.nan, "reached_tmax"),
         )
-        res = SweepResult(rows, BASE, LifespanBound("algebraic", 2.0))
+        res = SweepResult(rows, LifespanBound("algebraic", 2.0))
         with pytest.warns(UserWarning) as record:
             fit = fit_power_law(res)
         messages = sorted(str(w.message) for w in record)

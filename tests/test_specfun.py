@@ -28,10 +28,8 @@ from blowuplab.specfun import (
     bessel_k,
     log_bessel_k,
     log_phi,
-    log_psi,
     log_rho,
     phi,
-    psi,
     rho,
     rho_log_derivative,
     surface_area,
@@ -298,23 +296,6 @@ class TestRho:
 
 
 class TestPsi:
-    def test_product_structure(self):
-        ctx = TestFunctionContext(N=2, mu=1.0)
-        for r, t in ((0.0, 0.0), (2.0, 1.0), (5.0, 4.0)):
-            assert psi(ctx, r, t) == pytest.approx(
-                rho(ctx, t) * phi(2, r), rel=1e-12
-            )
-
-    def test_log_psi_inside_cone(self):
-        # On the support r <= t + R the combination stays representable even
-        # when rho and phi separately under/overflow.
-        ctx = TestFunctionContext(N=1, mu=0.5, R=2.0)
-        t = 750.0
-        vals = log_psi(ctx, np.array([0.0, 300.0, t + 2.0]), t)
-        assert np.all(np.isfinite(vals))
-        # psi <= psi(t+R boundary) * O(poly): log values bounded above by ~R
-        assert np.max(vals) < 10.0
-
     def test_context_validation(self):
         with pytest.raises(Exception):
             TestFunctionContext(N=0, mu=0.5)

@@ -2,11 +2,14 @@
 
     python3 tools/bench_pairs.py --parent REV --pr N [--trace] [--what TEXT]
 
-Run from the root of a checkout. The script exports REV with `git archive`
-into a temporary directory, then, for each workload of BENCHMARK.json and
-each seed 1-10, runs `perfbench/run.py --workload W --seed S --seconds T`,
-T being BENCHMARK.json's run_seconds, once on that tree and once on the
-working tree, one run at a time, the parent first on odd seeds and the
+Run from the root of a checkout. The script exports REV and the working
+tree with `git archive` into two sibling directories of one temporary
+directory, so that both sides run from the same kind of place. The working
+tree's export holds its tracked and untracked files as they are on disk and
+leaves out ignored ones (perfbench/_work among them). Then, for each
+workload of BENCHMARK.json and each seed 1-10, it runs `perfbench/run.py
+--workload W --seed S --seconds T`, T being BENCHMARK.json's run_seconds,
+once on each export, one run at a time, the parent first on odd seeds and the
 change first on even ones. It writes BENCH_<N>.json: for each
 end-to-end metric of BENCHMARK.json, both sides' runs, their medians and
 inclusive quartiles, and change_better_pairs, the pairs in which the change
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -107,11 +111,27 @@ def artifact_digests(tree: Path, workload: str, dest: Path) -> dict:
     }
 
 
-def export(rev: str, dest: Path) -> None:
-    archive = subprocess.run(
-        ["git", "archive", rev], cwd=ROOT, capture_output=True, check=True
+def export(root: Path, dest: Path, rev: str | None = None) -> None:
+    """Extract revision `rev` of the repository at `root` into dest, or with no
+    rev its working tree: tracked and untracked files as they are on disk,
+    ignored ones left out.
+
+    The working tree is staged into a temporary index (GIT_INDEX_FILE) and
+    written as a tree, so the repository's own index stays untouched.
+    """
+    if rev is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+            _git(root, "add", "-A", env=env)
+            rev = _git(root, "write-tree", env=env).decode().strip()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=_git(root, "archive", rev), check=True)
+
+
+def _git(root: Path, *args: str, env: dict | None = None) -> bytes:
+    """The stdout of one git command run in root."""
+    return subprocess.run(
+        ["git", *args], cwd=root, env=env, capture_output=True, check=True
     ).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def main(argv=None) -> int:
@@ -125,22 +145,22 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    parent_sha = subprocess.run(
-        ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
+    parent_sha = _git(ROOT, "rev-parse", args.parent).decode().strip()
 
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        parent_tree = work / "parent"
-        parent_tree.mkdir()
-        export(parent_sha, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {"parent": work / "parent", "change": work / "change"}
+        for side, rev in (("parent", parent_sha), ("change", None)):
+            trees[side].mkdir()
+            export(ROOT, trees[side], rev)
         doc = {
             "what": args.what,
             "parent": parent_sha,
             "method": {
                 "command": "python3 perfbench/run.py --workload W --seed S "
                 f"--seconds {seconds:g}",
+                "trees": "both sides run from exports in sibling directories: the parent "
+                "revision, and the working tree without its ignored files",
                 "pairs": f"seeds {SEEDS.start}-{SEEDS.stop - 1} per workload; the parent runs "
                 "first on odd seeds, the change first on even seeds; one run at a time",
                 "statistics": "median and quartiles (inclusive method) over the per-seed values; "
