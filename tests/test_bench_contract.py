@@ -100,3 +100,4 @@ def test_traced_sweep_records_rows_runs_and_row_nr(tmp_path):
     assert m["lifespan.blowup_fraction"] == 1.0
     assert m["solver.runs"] == 6  # two refinement levels per row
     assert m["lifespan.max_nr"] == RUN_CONFIG["nr"]
+    assert m["exponents.calls"] == 1  # one theorem lookup per sweep

@@ -21,6 +21,7 @@ from blowuplab.solver import (
     discrete_energy,
     measure_lifespan,
     propose_dt,
+    richardson,
     run,
     time_step,
 )
@@ -494,22 +495,26 @@ class TestEnergy:
         assert e[-1] < 0.9 * e[0]
 
 
-def _mms_error(N, nr, t_end=1.0, mu=0.5):
-    """L2 error against u* = e^{-t} s^6, s = max(1 - r^2/R^2, 0), with exact forcing."""
+def _mms_error(N, nr, t_end=1.0, mu=0.5, a=0, b=0, A=1.0):
+    """L2 error against u* = A e^{-t} s^6, s = max(1 - r^2/R^2, 0), with exact
+    forcing for the sources a|u_t|^2.5 + b|u|^2.2."""
     R = L = 4.0
-    params = ModelParams(N=N, mu=mu, p=2.0, q=2.0, a=0, b=0)
+    params = ModelParams(N=N, mu=mu, p=2.5, q=2.2, a=a, b=b)
 
     def bump(r):
         return np.maximum(1.0 - (r / R) ** 2, 0.0)
 
     def exact(r, t):
-        return math.exp(-t) * bump(r) ** 6
+        return A * math.exp(-t) * bump(r) ** 6
 
     def forcing(r, t):
-        # f = u*_tt - Lap u* + mu/(1+t) u*_t (linear equation), zero for r >= R
+        # f = u*_tt - Lap u* + mu/(1+t) u*_t - a|u*_t|^p - b|u*|^q, zero for
+        # r >= R; u*_t = -u*
         s = bump(r)
-        lap = math.exp(-t) * (-12.0 * N * s**5 / R**2 + 120.0 * r**2 * s**4 / R**4)
-        return exact(r, t) - lap - mu / (1.0 + t) * exact(r, t)
+        lap = A * math.exp(-t) * (-12.0 * N * s**5 / R**2 + 120.0 * r**2 * s**4 / R**4)
+        u = exact(r, t)
+        sources = a * np.abs(u) ** params.p + b * np.abs(u) ** params.q
+        return u - lap - mu / (1.0 + t) * u - sources
 
     # u* is supported in r < R, so the support window r <= t + R covers it
     cfg = SimConfig(
@@ -527,19 +532,27 @@ def _mms_error(N, nr, t_end=1.0, mu=0.5):
     return math.sqrt(cfg.h * float(np.sum(err**2)))
 
 
-# _mms_error at nr = 64 of the scheme as it stands; a wrong origin row
-# (2 dim -> dim) keeps the N = 2 rates at 2.04 and 2.02 but gives 1.242e-3
-_MMS_ERROR_64 = {1: 4.546e-4, 2: 4.707e-4, 3: 5.734e-4}
+# _mms_error at nr = 64 of the scheme as it stands, keyed by (N, a, b); the
+# sourced cases run at amplitude A = 3. A wrong origin row (2 dim -> dim)
+# keeps the N = 2 rates at 2.04 and 2.02 but gives 1.242e-3
+_MMS_ERROR_64 = {
+    (1, 0, 0): 4.546e-4, (2, 0, 0): 4.707e-4, (3, 0, 0): 5.734e-4,
+    (1, 1, 0): 1.448e-3, (1, 0, 1): 2.338e-3, (1, 1, 1): 1.746e-3,
+    (3, 1, 0): 2.184e-4, (3, 0, 1): 2.538e-3, (3, 1, 1): 2.268e-4,
+}
 
 
 class TestManufacturedSolution:
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_second_order_convergence(self, N):
-        errs = [_mms_error(N, nr) for nr in (64, 128, 256)]
-        rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    @pytest.mark.parametrize(
+        "N, a, b", _MMS_ERROR_64, ids=[f"{N}" + "-a" * a + "-b" * b for N, a, b in _MMS_ERROR_64]
+    )
+    def test_second_order_convergence(self, N, a, b):
+        A = 3.0 if a or b else 1.0
+        errs = [_mms_error(N, nr, a=a, b=b, A=A) for nr in (64, 128, 256)]
+        rates = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
         for rate in rates:
             assert rate == pytest.approx(2.0, abs=0.3)
-        assert errs[0] <= 1.25 * _MMS_ERROR_64[N]
+        assert errs[0] <= 1.25 * _MMS_ERROR_64[N, a, b]
 
 
 class TestRun:
@@ -626,15 +639,18 @@ class TestMeasureLifespan:
             assert abs(t - t_fine) / t_fine < 0.05
         assert est.T_est == pytest.approx(t_fine, rel=0.05)
 
-    def test_richardson_improves_on_coarse(self):
-        cfg = SimConfig(params=self.PARAMS, eps=0.4, L=12.0, nr=150, t_max=10.0)
-        est2 = measure_lifespan(cfg, refine=2)
-        est3 = measure_lifespan(cfg, refine=3)
-        # refine=3's finest level is the best direct measurement available;
-        # the refine=2 extrapolation should land closer to it than its own
-        # coarse level does.
-        ref = est3.levels[-1]
-        assert abs(est2.T_est - ref) < abs(est2.levels[0] - ref)
+    def test_extrapolates_only_with_an_observed_order(self):
+        # three levels 5.0849, 5.1837, 5.2004 show order 2.56: T_est 5.2038
+        # lies nearer the nr = 4800 run (5.2026) than the finest level does
+        cfg = SimConfig(params=self.PARAMS, eps=0.4, L=12.0, nr=600, t_max=10.0)
+        est = measure_lifespan(cfg, refine=3)
+        ref = run(replace(cfg, nr=4800), monitor=False).t_blowup
+        assert abs(est.T_est - ref) < abs(est.levels[-1] - ref)
+        assert abs(est.T_est - ref) <= est.uncertainty
+        # two levels show no order: the row is its finest level
+        row = measure_lifespan(cfg, refine=2)
+        assert row.T_est == row.levels[-1]
+        assert row.uncertainty == abs(row.levels[1] - row.levels[0])
 
     def test_no_blowup_row_keeps_its_outcome(self):
         cfg = SimConfig(params=self.PARAMS, eps=0.01, L=12.0, nr=150, t_max=2.0)
@@ -668,3 +684,38 @@ class TestMeasureLifespan:
         cfg = SimConfig(params=self.PARAMS, eps=0.4, L=12.0, nr=150, t_max=10.0)
         with pytest.raises(ConfigError):
             measure_lifespan(cfg, refine=0)
+
+
+class TestRichardson:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=hs.integers(3, 5),
+        order=hs.floats(0.5, 4.0),
+        t_star=hs.floats(0.1, 100.0),
+        rel_c=hs.floats(1e-3, 1.0),
+        sign=hs.sampled_from([-1.0, 1.0]),
+    )
+    def test_recovers_limit_and_order(self, n, order, t_star, rel_c, sign):
+        # T_l = T* + C 2^(-order l): exact for the extrapolation it makes
+        c = sign * rel_c * t_star
+        levels = [t_star + c * 2.0 ** (-order * level) for level in range(n)]
+        t, bar, got = richardson(levels)
+        assert t == pytest.approx(t_star, rel=1e-12)
+        assert got == pytest.approx(order, abs=1e-8)
+        assert bar == abs(levels[-1] - levels[-2])
+
+    def test_one_level(self):
+        t, bar, order = richardson([5.0])
+        assert t == 5.0 and math.isnan(bar) and math.isnan(order)
+
+    def test_two_levels_give_the_finest(self):
+        t, bar, order = richardson([4.0, 4.5])
+        assert (t, bar) == (4.5, 0.5) and math.isnan(order)
+
+    # growing differences (TestMeasureLifespan's eps = 0.4 row from nr = 150)
+    # and a sign change: no order to extrapolate with
+    @pytest.mark.parametrize("levels", [[3.97, 4.44, 5.08], [1.0, 2.0, 1.5]])
+    def test_no_order_gives_the_finest(self, levels):
+        t, bar, order = richardson(levels)
+        assert t == levels[-1] and math.isnan(order)
+        assert bar == abs(levels[-1] - levels[-2])
