@@ -44,8 +44,6 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--tau", type=float, default=None)
-    p_sweep.add_argument("--refine", type=int, default=None)
 
     p_report = sub.add_parser("report", help="merge run manifests into a summary CSV")
     p_report.add_argument("--out", default=None)
@@ -58,11 +56,8 @@ def _cmd_classify(args) -> int:
     )
     tag = exponents.classify(params)
     thr = exponents.thresholds(params)
-    if tag is exponents.RegionClassification.NO_THEOREM:
-        lifespan = {"kind": "none", "exponent": None}
-    else:
-        bound = exponents.lifespan_exponent(params)
-        lifespan = {"kind": bound.kind, "exponent": bound.exponent}
+    bound = exponents.lifespan_exponent(params)
+    lifespan = {"kind": bound.kind, "exponent": bound.exponent}
     print(
         json.dumps(
             {"classification": tag.value, "thresholds": thr, "lifespan": lifespan},
@@ -207,11 +202,10 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     doc = runio.load_json(args.config)
     eps_list = runio.eps_list_from_dict(doc)
-    base = runio.config_from_dict(SimConfig, doc.get("base") or doc, "run config")
-    refine = args.refine
-    if refine is None:
-        refine = runio.integer(doc.get("refine", 2), "refine")
-    tau = runio.number(args.tau if args.tau is not None else doc.get("tau", DEFAULT_TAU), "tau")
+    base_doc = runio._require(doc, "base", "sweep config")
+    base = runio.config_from_dict(SimConfig, base_doc, "run config")
+    refine = runio.integer(doc.get("refine", 2), "refine")
+    tau = runio.number(doc.get("tau", DEFAULT_TAU), "tau")
     if not 0 < tau < 1:
         raise ConfigError(f"tau must lie in (0, 1), got {tau}")
 
@@ -222,21 +216,18 @@ def _cmd_sweep(args) -> int:
         fit_payload["unstable_rows"] = unstable
     verdict_tag = "not-applicable"
     try:
-        if result.bound.kind == "algebraic":
-            fit = fit_power_law(result)
-        elif result.bound.kind == "exponential":
+        if result.bound.kind == "exponential":
             fit = fit_exponential_law(result, base.params.p)
         else:
-            fit = None
-        if fit is not None:
-            fit_payload["fit"] = asdict(fit)
-            if result.bound.kind == "algebraic":
-                verdict = compare_to_theory(fit, result.bound, tau)
-                if unstable and verdict.verdict == "consistent":
-                    # the fit left out rows that failed numerically
-                    verdict = replace(verdict, verdict="inconclusive")
-                verdict_tag = verdict.verdict
-                fit_payload["verdict"] = asdict(verdict)
+            fit = fit_power_law(result)
+        fit_payload["fit"] = asdict(fit)
+        if result.bound.kind == "algebraic":
+            verdict = compare_to_theory(fit, result.bound, tau)
+            if unstable and verdict.verdict == "consistent":
+                # the fit left out rows that failed numerically
+                verdict = replace(verdict, verdict="inconclusive")
+            verdict_tag = verdict.verdict
+            fit_payload["verdict"] = asdict(verdict)
     except BlowupLabError as exc:
         fit_payload["fit_error"] = str(exc)
 

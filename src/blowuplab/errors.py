@@ -17,10 +17,6 @@ class ConfigError(BlowupLabError, ValueError):
     """A configuration object or file violates its invariants."""
 
 
-class NoTheoremError(BlowupLabError, ValueError):
-    """No blow-up theorem applies to the given parameters."""
-
-
 class InsufficientDataError(BlowupLabError, ValueError):
     """A series or sweep does not contain enough points for the operation."""
 

@@ -10,7 +10,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, NoTheoremError
+from .errors import ConfigError, DomainError
 
 # Relative tolerance used to decide p == p_G (the critical branch).
 CRITICAL_REL_TOL = 1e-9
@@ -131,11 +131,13 @@ def classify(params: ModelParams) -> RegionClassification:
 
 
 def lifespan_exponent(params: ModelParams) -> LifespanBound:
-    """Theoretical lifespan bound for the classified blow-up region."""
+    """Theoretical lifespan bound for the classified blow-up region.
+
+    Kind "none" when no bound is stated: in the pure-power region and where
+    no theorem applies.
+    """
     tag = classify(params)
     d = params.N + params.mu
-    if tag is RegionClassification.NO_THEOREM:
-        raise NoTheoremError(f"no blow-up theorem applies to {params}")
     if tag is RegionClassification.COMBINED_BLOWUP:
         lam = lambda_combined(params.p, params.q, d)
         return LifespanBound("algebraic", 2.0 * params.p * (params.q - 1.0) / (4.0 - lam))
@@ -147,7 +149,7 @@ def lifespan_exponent(params: ModelParams) -> LifespanBound:
             "algebraic",
             2.0 * (params.p - 1.0) / (2.0 - (d - 1.0) * (params.p - 1.0)),
         )
-    # Pure-power branch: the bound belongs to prior literature, not stated here.
+    # Pure-power region (its bound belongs to prior literature) or no theorem.
     return LifespanBound("none")
 
 

@@ -291,7 +291,7 @@ def build_initial_state(cfg: SimConfig) -> State:
 
 
 def propose_dt(state: State, cfg: SimConfig) -> float:
-    """CFL step shrunk by the amplitude of the nonlinear sources.
+    """CFL step shrunk by the amplitude of the active nonlinear sources.
 
     The stability limit is taken as h/sqrt(N), not h: the regularized origin
     row of the radial Laplacian has Gershgorin radius 4N/h^2, and cfl is a
@@ -299,9 +299,10 @@ def propose_dt(state: State, cfg: SimConfig) -> float:
     spectral radius, which is 4/h^2 for N = 1 and about 4.842/h^2 and
     6.000/h^2 for N = 2 and 3, so for N >= 2 the limit is conservative.
     """
-    p, q = cfg.params.p, cfg.params.q
+    p, q, a, b = cfg.params.p, cfg.params.q, cfg.params.a, cfg.params.b
     amp_u, amp_v = state.amps
-    amp = amp_u ** (q - 1.0) + amp_v ** (p - 1.0) + 1.0
+    # a source the equation lacks is skipped, not weighted by 0: 0 * inf is nan
+    amp = (amp_u ** (q - 1.0) if b else 0.0) + (amp_v ** (p - 1.0) if a else 0.0) + 1.0
     dt = min(cfg.cfl_dt, ETA / amp)
     if state.dt_prev > 0:
         dt = min(dt, DT_GROWTH * state.dt_prev)

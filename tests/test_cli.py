@@ -24,6 +24,21 @@ SWEEP_CONFIG = {
     "tau": 0.25,
 }
 
+POWER_ONLY = dict(RUN_CONFIG["params"], a=0, b=1)
+
+# mu = 1.0 lies past mu* = 0.807 (lambda = 4.44 >= 4): no theorem covers it
+PAST_MU_STAR = {
+    "base": {
+        "params": {"N": 3, "mu": 1.0, "p": 1.9, "q": 2.2, "a": 1, "b": 1},
+        "eps": 2.4,
+        "L": 21.0,
+        "nr": 1050,
+        "t_max": 20.0,
+    },
+    "eps_list": [2.4, 2.0, 1.7],
+    "refine": 1,
+}
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
@@ -49,6 +64,13 @@ class TestClassify:
         assert main(["classify", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["classification"] == "DerivativeBlowUp"
+
+    def test_no_theorem(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "p.json", PAST_MU_STAR["base"])
+        assert main(["classify", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["classification"] == "NoTheorem"
+        assert doc["lifespan"] == {"kind": "none", "exponent": None}
 
     def test_invalid_params_exit_2(self, tmp_path):
         cfg = _write(tmp_path, "p.json", {"N": 0, "mu": 0.5, "p": 2.0, "q": 2.0})
@@ -279,6 +301,24 @@ class TestSweep:
         assert table[0] == "eps,T_est,uncertainty,outcome"
         assert len(table) == 4
 
+    @pytest.mark.parametrize(
+        "doc, slope",
+        [
+            (PAST_MU_STAR, -2.805),
+            (dict(SWEEP_CONFIG, base=dict(RUN_CONFIG, params=POWER_ONLY)), -0.641),
+        ],
+        ids=["no-theorem", "power-region"],
+    )
+    def test_sweep_without_a_stated_bound_fits_a_power_law(self, tmp_path, capsys, doc, slope):
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", _write(tmp_path, "s.json", doc), "--out", str(out)]) == 0
+        assert "verdict=not-applicable" in capsys.readouterr().err
+        fit = json.loads((next(out.iterdir()) / "fit.json").read_text())
+        assert fit["bound"] == {"kind": "none", "exponent": None}
+        assert fit["fit"]["kind"] == "power"
+        assert fit["fit"]["slope"] == pytest.approx(slope, abs=1e-3)
+        assert "verdict" not in fit
+
     def test_sweep_reproducible(self, tmp_path):
         cfg = _write(tmp_path, "sweep.json", SWEEP_CONFIG)
         out = tmp_path / "results"
@@ -373,17 +413,19 @@ class TestSweep:
         ("solve", dict(RUN_CONFIG, blowup_threshold=math.nan)),
         ("solve", dict(RUN_CONFIG, blowup_threshold=math.inf)),
         ("solve", dict(RUN_CONFIG, blowup_threshold=0.0)),
-        # tau, from the config or --tau, must be finite and lie in (0, 1)
+        # tau must be finite and lie in (0, 1)
         ("sweep", dict(SWEEP_CONFIG, tau=math.nan)),
         ("sweep", dict(SWEEP_CONFIG, tau=-0.5)),
         ("sweep", dict(SWEEP_CONFIG, tau=0.0)),
         ("sweep", dict(SWEEP_CONFIG, tau=1.0)),
         ("sweep", dict(SWEEP_CONFIG, tau=1.5)),
         ("sweep", dict(SWEEP_CONFIG, tau="x")),
-        ("sweep --tau=nan", SWEEP_CONFIG),
-        ("sweep --tau=inf", SWEEP_CONFIG),
-        ("sweep --tau=-0.5", SWEEP_CONFIG),
-        ("sweep --tau=1.5", SWEEP_CONFIG),
+        ("sweep", dict(SWEEP_CONFIG, tau=math.inf)),
+        # a sweep config names its run config under "base"; an empty or null
+        # one is not read as a flat config
+        ("sweep", dict(RUN_CONFIG, eps_list=[0.4, 0.3, 0.2])),
+        ("sweep", dict(RUN_CONFIG, eps_list=[0.4, 0.3, 0.2], base={})),
+        ("sweep", dict(RUN_CONFIG, eps_list=[0.4, 0.3, 0.2], base=None)),
         # cfl must lie in (0, 1): at cfl 1 leapfrog's grid-scale mode is marginal
         ("solve", dict(RUN_CONFIG, cfl=1.0)),
         # at a threshold <= 1 every run would count as blow-up after one step
@@ -398,8 +440,7 @@ class TestSweep:
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):
-    command, *flags = command.split()
-    argv = [command, *flags, "--config", _write(tmp_path, "bad.json", doc)]
+    argv = [command, "--config", _write(tmp_path, "bad.json", doc)]
     if command != "classify":
         argv += ["--out", str(tmp_path / "r")]
     assert main(argv) == 2

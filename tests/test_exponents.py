@@ -4,10 +4,10 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from blowuplab.errors import ConfigError, DomainError, NoTheoremError
+from blowuplab.errors import ConfigError, DomainError
 from blowuplab.exponents import (
     LifespanBound,
     ModelParams,
@@ -180,9 +180,28 @@ class TestLifespanExponent:
         assert bound.kind == "none"
         assert bound.exponent is None
 
-    def test_no_theorem_raises(self):
-        with pytest.raises(NoTheoremError):
-            lifespan_exponent(ModelParams(N=3, mu=0.5, p=3.0, q=4.0, a=1, b=1))
+    def test_no_theorem_no_bound(self):
+        bound = lifespan_exponent(ModelParams(N=3, mu=0.5, p=3.0, q=4.0, a=1, b=1))
+        assert (bound.kind, bound.exponent) == ("none", None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        N=hs.integers(1, 5),
+        mu=hs.floats(0.0, 20.0),
+        p=hs.floats(1.0, 10.0, exclude_min=True),
+        q=hs.floats(1.0, 10.0, exclude_min=True),
+        flags=hs.sampled_from([(1, 0), (0, 1), (1, 1)]),
+    )
+    def test_bound_states_an_exponent_exactly_where_a_theorem_does(self, N, mu, p, q, flags):
+        assume(N + mu > 1 and (N < 3 or q <= 2 * N / (N - 2)))
+        params = ModelParams(N=N, mu=mu, p=p, q=q, a=flags[0], b=flags[1])
+        bound = lifespan_exponent(params)
+        unstated = {RegionClassification.POWER_BLOWUP, RegionClassification.NO_THEOREM}
+        assert (bound.kind == "none") == (classify(params) in unstated)
+        if bound.kind == "none":
+            assert bound.exponent is None
+        else:
+            assert math.isfinite(bound.exponent) and bound.exponent > 0
 
     def test_bound_validation(self):
         with pytest.raises(ConfigError):

@@ -16,7 +16,6 @@ from blowuplab.errors import (
     ConfigError,
     InsufficientDataError,
     KindMismatchError,
-    NoTheoremError,
 )
 from blowuplab.exponents import LifespanBound, ModelParams
 from blowuplab.lifespan import (
@@ -27,7 +26,7 @@ from blowuplab.lifespan import (
     fit_power_law,
     sweep,
 )
-from blowuplab.solver import SimConfig, measure_lifespan
+from blowuplab.solver import SimConfig
 
 PARAMS = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=1, b=0)
 BASE = SimConfig(params=PARAMS, eps=0.4, L=12.0, nr=300, t_max=10.0)
@@ -179,20 +178,16 @@ class TestSweep:
         for i, cfg in enumerate(seen):
             assert cfg.h == base.h / 2 ** (i % refine), (cfg.eps, i % refine)
 
-    def test_only_sweep_refuses_a_config_no_theorem_covers(self, monkeypatch):
-        # mu = 1.0 lies past mu* = 0.807 with lambda = 4.44 >= 4: NO_THEOREM
+    def test_sweeps_a_config_no_theorem_covers(self):
+        # mu = 1.0 lies past mu* = 0.807 with lambda = 4.44 >= 4: NO_THEOREM,
+        # so no bound is stated, and the rows are measured and fitted all the same
         params = ModelParams(N=3, mu=1.0, p=1.9, q=2.2, a=1, b=1)
         base = SimConfig(params=params, eps=2.4, L=21.0, nr=1050, t_max=20.0)
-        row = measure_lifespan(base, refine=1)
-        assert row.outcome == "blowup"
-        assert row.T_est == pytest.approx(2.511, abs=1e-3)
-
-        def no_run(cfg, monitor=True):
-            raise AssertionError("a level ran")
-
-        monkeypatch.setattr(solver, "run", no_run)
-        with pytest.raises(NoTheoremError):
-            sweep(base, [2.4, 2.0, 1.7], refine=1)
+        result = sweep(base, [2.4, 2.0, 1.7], refine=1)
+        assert result.bound.kind == "none"
+        assert [row.outcome for row in result.rows] == ["blowup"] * 3
+        assert result.rows[0].T_est == pytest.approx(2.511, abs=1e-3)
+        assert fit_power_law(result).slope == pytest.approx(-2.805, abs=1e-3)
 
     def test_parallel_matches_serial(self):
         serial = sweep(BASE, [0.4, 0.3, 0.2], refine=1, jobs=1)

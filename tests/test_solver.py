@@ -599,6 +599,26 @@ class TestRun:
             )
 
 
+    @pytest.mark.parametrize("q", [1.5, 3.0, 5.0])
+    def test_absent_power_source_does_not_move_the_run(self, q):
+        # b = 0: the equation has no |u|^q, so q must not reach the dt
+        # control; when it did, T was 63.84544 at q = 1.5 and 63.84593 at 5
+        params = ModelParams(N=1, mu=0.5, p=2.5, q=2.0, a=1, b=0)
+        cfg = SimConfig(params=params, eps=0.12, L=12.0, nr=300, t_max=100.0)
+        ref = run(cfg, monitor=False)
+        other = run(replace(cfg, params=replace(params, q=q)), monitor=False)
+        assert ref.outcome == "blowup"
+        assert (other.t_blowup, other.steps) == (ref.t_blowup, ref.steps)
+
+    def test_absent_derivative_source_does_not_shrink_dt(self):
+        # a = 0: a dt shrunk by max|u_t|^(p-1) took 803,186 steps to T = 7.07205
+        params = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=0, b=1)
+        cfg = SimConfig(params=params, eps=0.4, L=12.0, nr=200, t_max=10.0)
+        res = run(cfg, monitor=False)
+        assert res.outcome == "blowup"
+        assert res.steps < 5000
+        assert res.t_blowup == pytest.approx(7.0729, abs=1e-4)
+
     @pytest.mark.parametrize("field", ["u", "v"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_step_is_unstable(self, monkeypatch, field, bad):
