@@ -7,12 +7,13 @@ integral bound and coercivity lemmas.
 
 A snapshot takes every integral on the state's window, the cells that can
 be nonzero (r <= t + R plus the stencil cell), with the weights and log
-phi of the state's radial grid and the nonlinear sources the state holds,
-so it does no work on the zero-padded tail of a stored state and takes
-no power the step also takes. It takes the psi-weighted integrals against
-phi(r) e^{-t}, below about e^R there, so no tail overflows. monitor_series
-scales them by e^t rho(t) and forms Gamma with one log_rho and one
-rho_log_derivative call over a run's snapshot times.
+phi of the state's radial grid and the nonlinear sources the state takes
+once (State.ut_p, State.u_q), so it does no work on the zero-padded tail
+of a stored state and takes no power the step also takes. It takes the
+psi-weighted integrals against phi(r) e^{-t}, below about e^R there, so
+no tail overflows. monitor_series scales them by e^t rho(t) and forms
+Gamma with one log_rho and one rho_log_derivative call over a run's
+snapshot times.
 The radial quadratures of c_fg and lemma31_ratio take specfun's fixed rule.
 """
 
@@ -110,7 +111,7 @@ def compute_snapshot(state: "State", params: ModelParams) -> FunctionalSnapshot:
 
     Every integral takes the state's window, with the weights and log phi
     of its grid; the nonlinear ones dot the weights with the state's
-    sources |v|^p and |u|^q.
+    sources |v|^p and |u|^q, state.ut_p and state.u_q.
     """
     m = state.window
     area = surface_area(params.N)
@@ -122,8 +123,8 @@ def compute_snapshot(state: "State", params: ModelParams) -> FunctionalSnapshot:
     G = (1.0 + state.t) ** (params.mu / 2.0) * F
     u_phi = area * float(np.dot(w, state.u[:m] * phi_t))
     v_phi = area * float(np.dot(w, state.v[:m] * phi_t))
-    int_ut_p = area * float(np.dot(w, state.sources.ut_p(params.p)))
-    int_u_q = area * float(np.dot(w, state.sources.u_q(params.q)))
+    int_ut_p = area * float(np.dot(w, state.ut_p(params.p)))
+    int_u_q = area * float(np.dot(w, state.u_q(params.q)))
     return FunctionalSnapshot(
         state.t, state.amps[0], F, G, u_phi, v_phi, int_ut_p, int_u_q, state.dt_prev
     )
@@ -163,7 +164,13 @@ def residual_F(series: MonitorSeries, params: ModelParams) -> ResidualReport:
     Fp = np.gradient(F, t, edge_order=2)
     Fpp = np.gradient(Fp, t, edge_order=2)
     damp = params.mu / (1.0 + t) * Fp
-    nl = params.a * series.int_ut_p + params.b * series.int_u_q
+    # as in the solver, a source the equation lacks is skipped, not weighted
+    # by 0: its column may be inf (|u|^q overflows at large q), and 0 * inf is nan
+    nl = 0.0
+    if params.a:
+        nl = series.int_ut_p
+    if params.b:
+        nl = nl + series.int_u_q
     res = Fpp + damp - nl
     scale = np.abs(Fpp) + np.abs(damp) + np.abs(nl) + 1e-300
     return ResidualReport(relative=np.abs(res) / scale)

@@ -29,8 +29,8 @@ term whose flag is 0 is skipped, not added as 0. It regroups the terms of
 lap = ((u_{i+1} - 2u_i) + u_{i-1})/h^2 + ((dim-1)/r)(u_{i+1} - u_{i-1})/(2h)
 and v_next = (u_next - u)/dt + (dt/2)(acc_new u_next + acc_cur u + acc_old u_prev),
 so it agrees with them to rounding. v enters the step only through |v|^p,
-so `advance` takes the state's sources (solver.Sources) in place of v and
-adds the |v|^p and |u|^q that they hold on the state's window. It takes
+so `advance` takes the solver's state in place of v and adds the |v|^p
+and |u|^q that it holds on its window (State.ut_p, State.u_q). It takes
 no power itself: the state takes each on its first read, so one that the
 monitor has read is not taken again. Its own work is 15 array passes for
 a = b = 1 and no forcing, 14 for b = 0.
@@ -82,12 +82,12 @@ def radial_laplacian(u, h, dim, hi, stencil, out, scratch, shift=0.0):
     return lap
 
 
-def advance(u, u_prev, sources, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi, stencil):
+def advance(u, u_prev, state, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi, stencil):
     """One step of the scheme; returns (u_next, v_next), as long as u.
 
     Cells with index > i_hi are outside the active support window and stay
     exactly zero, and the last cell of the arrays is never updated. With
-    k = min(i_hi, n - 2), sources.ut_p(p) (if a) and sources.u_q(q) (if b)
+    k = min(i_hi, n - 2), state.ut_p(p) (if a) and state.u_q(q) (if b)
     are |v|^p and |u|^q of the current level on at least k + 1 cells,
     `forcing` is None for the unforced equation or holds at least k + 1
     cells, and stencil is radial_stencil(dim, h, j) for some j >= k. The
@@ -104,9 +104,9 @@ def advance(u, u_prev, sources, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q,
     u_next, v_next, tmp = np.zeros(n), np.zeros(n), np.empty(m)
     rhs = radial_laplacian(u, h, dim, hi, stencil, u_next, tmp, acc_cur + c * vel_cur)
     if a:
-        rhs += sources.ut_p(p)[:m]
+        rhs += state.ut_p(p)[:m]
     if b:
-        rhs += sources.u_q(q)[:m]
+        rhs += state.u_q(q)[:m]
     if forcing is not None:
         rhs += forcing[:m]
     rhs -= np.multiply(pw, acc_old + c * vel_old, out=tmp)

@@ -4,7 +4,7 @@ Solves u_tt - u_rr - (N-1)/r u_r + mu/(1+t) u_t = a|u_t|^p + b|u|^q on a
 uniform radial grid with small compactly supported data, adapting dt near
 blow-up and reporting a numerical lifespan validated by grid refinement.
 A state's RadialGrid owns the per-cell arrays that the step (stencil) and
-the monitor (snapshot weights, log phi) read; a regrowth grows the grid.
+the monitor (snapshot weights, log phi) read; a regrowth builds a new grid.
 """
 
 import functools
@@ -121,16 +121,11 @@ class SimConfig:
 @dataclass(frozen=True)
 class RadialGrid:
     """The first n cells of the radial grid of spacing h in dimension N and
-    the per-cell arrays of a state of that length, each built on first read.
-
-    A grid from `grown` carries the log phi cells evaluated so far and
-    evaluates only the new ones.
-    """
+    the per-cell arrays of a state of that length, each built on first read."""
 
     N: int
     h: float
     n: int
-    known_log_phi: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
 
     @functools.cached_property
     def stencil(self) -> tuple[np.ndarray, np.ndarray]:
@@ -144,41 +139,7 @@ class RadialGrid:
 
     @functools.cached_property
     def log_phi(self) -> np.ndarray:
-        new = np.arange(self.known_log_phi.shape[0], self.n) * self.h
-        return np.concatenate((self.known_log_phi, log_phi(self.N, new)))
-
-    def grown(self, n: int) -> "RadialGrid":
-        """The grid of length n, carrying the log phi cells this one holds."""
-        return RadialGrid(self.N, self.h, n, self.__dict__.get("log_phi", self.known_log_phi))
-
-
-class Sources:
-    """|u| and |v| of one state on its window, and its nonlinear sources |v|^p
-    and |u|^q there, each taken on its first read and kept.
-
-    The step, the Taylor start and the monitor all read a state's sources
-    from here, so each power pass runs at most once per state, and not at
-    all for a source that nothing reads (b = 0 in an unmonitored run). A
-    read with another exponent takes the pass again.
-    """
-
-    __slots__ = ("mag_u", "mag_v", "_ut_p", "_u_q")
-
-    def __init__(self, mag_u: np.ndarray, mag_v: np.ndarray) -> None:
-        self.mag_u, self.mag_v = mag_u, mag_v
-        self._ut_p = self._u_q = (None, None)
-
-    def ut_p(self, p: float) -> np.ndarray:
-        """|v|^p, the |u_t|^p source."""
-        if self._ut_p[0] != p:
-            self._ut_p = (p, np.power(self.mag_v, p))
-        return self._ut_p[1]
-
-    def u_q(self, q: float) -> np.ndarray:
-        """|u|^q, the |u|^q source."""
-        if self._u_q[0] != q:
-            self._u_q = (q, np.power(self.mag_u, q))
-        return self._u_q[1]
+        return log_phi(self.N, np.arange(self.n) * self.h)
 
 
 @dataclass
@@ -192,12 +153,14 @@ class State:
     twice that.
 
     A state's arrays are never modified after construction: each step and
-    each regrowth builds a new State. So |u|, |v| and their maxima `amps`
-    are taken once, on the window, when the state is built, and `sources`
-    takes each power once: every reader of the state (dt control, the
-    finiteness check and the blow-up test, the step and the monitor) shares
-    them. Built without `sources`, a state takes them from u and v; a
-    regrowth, which only zero-pads u and v, passes on its state's own.
+    each regrowth builds a new State. So a state owns everything derived
+    from them: |u| and |v| on the window (mag_u, mag_v) and their maxima
+    `amps` are taken once, when it is built, and the nonlinear sources
+    |v|^p and |u|^q once each, on first read (ut_p, u_q). Every reader of
+    the state (dt control, the finiteness check and the blow-up test, the
+    step and the monitor) shares them, and a source that nothing reads
+    (b = 0 in an unmonitored run) is never taken. A read with another
+    exponent takes the pass again.
     """
 
     t: float
@@ -208,21 +171,32 @@ class State:
     step: int
     grid: RadialGrid
     window: int
-    sources: Optional[Sources] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.sources is None:
-            w = self.window
-            self.sources = Sources(np.abs(self.u[:w]), np.abs(self.v[:w]))
+        w = self.window
+        self.mag_u, self.mag_v = np.abs(self.u[:w]), np.abs(self.v[:w])
+        self._ut_p = self._u_q = (None, None)
         # (max|u|, max|v|), each NaN if its array holds one: NaN propagates
         # through max and |inf| is inf, so both are finite exactly when every
         # cell is. Cells past the window are exact zeros, so these are the
         # maxima over the stored cells; np.maximum.reduce is the reduction
         # np.max wraps.
         self.amps = (
-            float(np.maximum.reduce(self.sources.mag_u)),
-            float(np.maximum.reduce(self.sources.mag_v)),
+            float(np.maximum.reduce(self.mag_u)),
+            float(np.maximum.reduce(self.mag_v)),
         )
+
+    def ut_p(self, p: float) -> np.ndarray:
+        """|v|^p on the window, the |u_t|^p source."""
+        if self._ut_p[0] != p:
+            self._ut_p = (p, np.power(self.mag_v, p))
+        return self._ut_p[1]
+
+    def u_q(self, q: float) -> np.ndarray:
+        """|u|^q on the window, the |u|^q source."""
+        if self._u_q[0] != q:
+            self._u_q = (q, np.power(self.mag_u, q))
+        return self._u_q[1]
 
     def finite(self) -> bool:
         return all(map(math.isfinite, self.amps))
@@ -253,31 +227,30 @@ def _padded(a: Optional[np.ndarray], n: int) -> Optional[np.ndarray]:
 
 
 def _cover(state: State, hi: int) -> State:
-    """state, zero-padded with a grown grid if needed so that it holds cells
-    0..hi + 1, with a window that covers cells 0..hi.
+    """state if it holds cells 0..hi + 1 with a window that covers cells
+    0..hi; otherwise a new state of the same values that does.
 
     The length grows geometrically (x2), so the number of regrowths is
-    logarithmic and the length stays within twice the window. A regrowth
-    passes on the state's window and sources. A step whose dt nears h or
-    passes it can reach past the window; the state then widens its window
-    to hi + 2 and takes its sources again there. The cells it gains are
-    exact zeros, so its |u|, |v|, maxima and sources are the old ones,
-    zero-padded.
+    logarithmic and the length stays within twice the window. A step whose
+    dt nears h or passes it can reach past the window, which then widens
+    to hi + 2. The cells a new state gains are exact zeros, so the |u|,
+    |v|, maxima and sources it takes are the old ones, zero-padded.
     """
     n = state.u.shape[0]
+    if hi + 2 <= n and hi < state.window:
+        return state
+    grid = state.grid
     if hi + 2 > n:
         n = max(2 * n, hi + 2)
-        state = replace(
-            state,
-            u=_padded(state.u, n),
-            u_prev=_padded(state.u_prev, n),
-            v=_padded(state.v, n),
-            grid=state.grid.grown(n),
-            sources=state.sources,
-        )
-    if hi >= state.window:
-        state = replace(state, window=hi + 2, sources=None)
-    return state
+        grid = RadialGrid(grid.N, grid.h, n)
+    return replace(
+        state,
+        u=_padded(state.u, n),
+        u_prev=_padded(state.u_prev, n),
+        v=_padded(state.v, n),
+        grid=grid,
+        window=max(state.window, hi + 2),
+    )
 
 
 def build_initial_state(cfg: SimConfig) -> State:
@@ -330,8 +303,12 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
     if state.step == 0:
         w = slice(0, hi + 1)
         u0, v0 = state.u[w], state.v[w]
-        sources = state.sources
-        src = a * sources.ut_p(params.p)[w] + b * sources.u_q(params.q)[w]
+        # a source the equation lacks is skipped, not weighted by 0: 0 * inf is nan
+        src = 0.0
+        if a:
+            src = state.ut_p(params.p)[w]
+        if b:
+            src = src + state.u_q(params.q)[w]
         acc = kernels.radial_laplacian(
             state.u, cfg.h, params.N, hi, state.grid.stencil, np.empty(hi + 1), np.empty(hi)
         )
@@ -346,7 +323,7 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
         u_next, v_next = kernels.advance(
             state.u,
             state.u_prev,
-            state.sources,
+            state,
             forcing,
             state.t,
             dt,

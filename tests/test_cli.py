@@ -236,6 +236,19 @@ class TestVerify:
         assert err.startswith("config error:") and "Traceback" not in err
         assert f"{path} row 2 column 'F'" in err
 
+    def test_verify_nan_residual_fails(self, tmp_path, capsys):
+        # a NaN F cell makes the F'' residual NaN, which is no pass
+        run_dir = self._solved(tmp_path, capsys)
+        path = run_dir / "monitors.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        lines[2] = ",".join(cells[:2] + ["nan"] + cells[3:])  # data row 2, column F
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(run_dir)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert math.isnan(report["residual_F"]["max_rel"])
+        assert report["residual_F"]["ok"] is False
+
     @pytest.mark.parametrize("value", ["x", None, [0.4]])
     @pytest.mark.parametrize("field", ["eps", "R"])
     def test_verify_non_numeric_manifest_field_exit_2(self, tmp_path, capsys, field, value):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from blowuplab import kernels
-from blowuplab.solver import Sources
+from blowuplab.solver import RadialGrid, State
 
 
 def _reference_laplacian(u, h, dim, hi, shift=0.0):
@@ -113,9 +113,12 @@ def _term_scales(u, u_prev, v, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, 
     return scale_u, k1 * scale_u + scale_v
 
 
-def _sources(u, v):
-    """The sources advance takes in place of v, as State.sources holds them."""
-    return Sources(np.abs(u), np.abs(v))
+def _state(u, v):
+    """The solver state that advance takes in place of v, for its sources."""
+    return State(
+        t=0.0, dt_prev=0.0, u=u, u_prev=None, v=v, step=0,
+        grid=RadialGrid(1, 0.1, u.size), window=u.size,
+    )
 
 
 def _random_state(n, rng):
@@ -132,7 +135,7 @@ def test_support_window_stays_zero():
     u, u_prev, v, forcing = _random_state(n, rng)
     i_hi = 20
     un, vn = kernels.advance(
-        u, u_prev, _sources(u, v), forcing, 0.2, 0.01, 0.01, 0.1, 1, 0.5, 1.0, 0.0, 2.0, 2.0, i_hi,
+        u, u_prev, _state(u, v), forcing, 0.2, 0.01, 0.01, 0.1, 1, 0.5, 1.0, 0.0, 2.0, 2.0, i_hi,
         kernels.radial_stencil(1, 0.1, n - 1),
     )
     assert np.all(un[i_hi + 1 :] == 0.0)
@@ -145,7 +148,7 @@ def test_dirichlet_boundary_cell():
     n = 30
     u, u_prev, v, forcing = _random_state(n, rng)
     un, vn = kernels.advance(
-        u, u_prev, _sources(u, v), forcing, 0.2, 0.01, 0.01, 0.1, 2, 1.0, 0.0, 1.0, 2.0, 2.2,
+        u, u_prev, _state(u, v), forcing, 0.2, 0.01, 0.01, 0.1, 2, 1.0, 0.0, 1.0, 2.0, 2.2,
         n - 1,
         kernels.radial_stencil(2, 0.1, n - 1),
     )
@@ -162,7 +165,7 @@ def test_uniform_step_reduces_to_leapfrog():
     v = np.zeros(n)
     forcing = np.zeros(n)
     un, _ = kernels.advance(
-        u, u_prev, _sources(u, v), forcing, 1.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, n - 2,
+        u, u_prev, _state(u, v), forcing, 1.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, n - 2,
         kernels.radial_stencil(1, h, n - 1),
     )
     lap = np.zeros(n)
@@ -184,10 +187,10 @@ def test_damping_sign():
     forcing = np.zeros(n)
     stencil = kernels.radial_stencil(1, h, n - 1)
     un0, _ = kernels.advance(
-        u, u_prev, _sources(u, v), forcing, 0.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, 5, stencil
+        u, u_prev, _state(u, v), forcing, 0.0, dt, dt, h, 1, 0.0, 0.0, 0.0, 2.0, 2.0, 5, stencil
     )
     un1, _ = kernels.advance(
-        u, u_prev, _sources(u, v), forcing, 0.0, dt, dt, h, 1, 2.0, 0.0, 0.0, 2.0, 2.0, 5, stencil
+        u, u_prev, _state(u, v), forcing, 0.0, dt, dt, h, 1, 2.0, 0.0, 0.0, 2.0, 2.0, 5, stencil
     )
     assert np.all(un1[:4] < un0[:4])
 
@@ -234,14 +237,14 @@ def test_advance_matches_expression_form_bitwise(d):
     if not d["forced"]:
         forcing = None
     stencil = _stencil(d)
-    sources = _sources(u, v)
+    state = _state(u, v)
     inputs = [
-        x for x in (u, u_prev, sources.mag_u, sources.mag_v, forcing, *stencil)
+        x for x in (u, u_prev, state.mag_u, state.mag_v, forcing, *stencil)
         if x is not None
     ]
     before = [x.copy() for x in inputs]
 
-    un, vn = _call(kernels.advance, d, u, u_prev, sources, forcing, stencil)
+    un, vn = _call(kernels.advance, d, u, u_prev, state, forcing, stencil)
     ru, rv = _call(_reference_advance, d, u, u_prev, v, forcing)
     assert un.tobytes() == ru.tobytes()
     assert vn.tobytes() == rv.tobytes()
@@ -251,7 +254,7 @@ def test_advance_matches_expression_form_bitwise(d):
     assert np.all(un[hi + 1 :] == 0.0) and np.all(vn[hi + 1 :] == 0.0)
 
     zero = np.zeros(n)
-    zu, zv = _call(kernels.advance, d, zero, zero, _sources(zero, zero), None, stencil)
+    zu, zv = _call(kernels.advance, d, zero, zero, _state(zero, zero), None, stencil)
     assert not zu.any() and not zv.any()
 
 
@@ -269,7 +272,7 @@ def test_advance_skips_a_source_whose_flag_is_zero(d, zeros, negative):
         x[n - min(zeros, n) :] = zero
     if not d["forced"]:
         forcing = None
-    un, vn = _call(kernels.advance, d, u, u_prev, _sources(u, v), forcing, _stencil(d))
+    un, vn = _call(kernels.advance, d, u, u_prev, _state(u, v), forcing, _stencil(d))
     ru, rv = _call(_reference_advance, d, u, u_prev, v, forcing)
     assert np.array_equal(un, ru) and np.array_equal(vn, rv)
 
@@ -299,7 +302,7 @@ def test_advance_matches_former_grouping_to_rounding(d):
     u, u_prev, v, forcing = _random_state(d["n"], rng)
     if not d["forced"]:
         forcing = None
-    un, vn = _call(kernels.advance, d, u, u_prev, _sources(u, v), forcing, _stencil(d))
+    un, vn = _call(kernels.advance, d, u, u_prev, _state(u, v), forcing, _stencil(d))
     fu, fv = _call(_former_advance, d, u, u_prev, v, forcing)
     scale_u, scale_v = _call(_term_scales, d, u, u_prev, v, forcing)
     tol = 16.0 * np.finfo(float).eps

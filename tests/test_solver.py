@@ -11,7 +11,7 @@ from hypothesis import strategies as hs
 from blowuplab import kernels, solver
 from blowuplab.errors import ConfigError
 from blowuplab.exponents import ModelParams, lifespan_exponent
-from blowuplab.functionals import MONITOR_COLUMNS, monitor_series
+from blowuplab.functionals import MONITOR_COLUMNS, monitor_series, residual_F
 from blowuplab.solver import (
     InitialProfile,
     RadialGrid,
@@ -228,9 +228,10 @@ class TestSupportWindow:
         cfg = SimConfig(params=params, eps=1.2, L=22.0, nr=440, t_max=20.0)
         res = run(cfg)
         assert res.outcome == "blowup"
-        total = sum(points)
+        total, final = sum(points), points[-1]
         hi = solver._active_hi(cfg, res.t_blowup)
-        assert total <= max(64, 2 * (hi + 2))
+        assert final <= max(64, 2 * (hi + 2))  # the state's length follows the support
+        assert total <= 2 * final  # one build per state length; lengths double
 
         points.clear()
         res_big = run(replace(cfg, L=100 * cfg.L, nr=100 * cfg.nr))
@@ -250,7 +251,7 @@ class TestSupportWindow:
         # doubles as its support grows, up to 4 times by t = 18. The grid's
         # snapshot weights and log phi are built once per state length, and
         # the monitors equal, bitwise, each snapshot evaluated on a freshly
-        # built grid.
+        # built state and grid.
         params = ModelParams(N=N, mu=0.5, p=2.0, q=2.2, a=1, b=1)
         cfg = SimConfig(
             params=params, eps=eps, L=3.2, nr=64, t_max=1.0, monitor_stride=stride
@@ -281,13 +282,11 @@ class TestSupportWindow:
         lengths = [state.u.shape[0] for state in snapped]
         # one build per state length, when the state first has it
         assert weights == sorted(set(lengths))
-        assert sum(points) == max(lengths)  # each cell's log phi evaluated once
+        assert points == sorted(set(lengths))
 
         ctx = TestFunctionContext(N=N, mu=params.mu, R=cfg.profile.R)
         alone = [
-            snapshot(
-                replace(s, grid=RadialGrid(N, cfg.h, s.u.shape[0]), sources=None), params
-            )
+            snapshot(replace(s, grid=RadialGrid(N, cfg.h, s.u.shape[0])), params)
             for s in snapped
         ]
         fresh = monitor_series(ctx, alone)
@@ -386,7 +385,7 @@ class TestMagnitudes:
 
         def checked_advance(*args, **kwargs):
             assert args[0] is covered[-1].u
-            assert args[2] is covered[-1].sources
+            assert args[2] is covered[-1]
             calls.append(1)
             checked_advance.inside = True
             try:
@@ -427,8 +426,9 @@ class TestMagnitudes:
             return covered[-1]
 
         def checked_advance(*args):
-            assert args[2] is covered[-1].sources
-            assert covered[-1].sources is snapped[-1].sources
+            assert args[2] is covered[-1]
+            # the snapshot's state, unless a regrowth built a longer one
+            assert covered[-1] is snapped[-1] or covered[-1].grid.n > snapped[-1].grid.n
             return advance(*args)
 
         def recording_snapshot(state, params):
@@ -449,31 +449,30 @@ class TestMagnitudes:
         taken = [id(x) for x in passes]
         area = surface_area(params.N)
         for i, s in enumerate(snapped):
-            src = s.sources
-            assert taken.count(id(src.mag_v)) == taken.count(id(src.mag_u)) == 1
+            assert taken.count(id(s.mag_v)) == taken.count(id(s.mag_u)) == 1
             # the state's sources are the powers of its own v and u
-            assert src.ut_p(params.p).tobytes() == (
+            assert s.ut_p(params.p).tobytes() == (
                 np.abs(s.v[: s.window]) ** params.p
             ).tobytes()
-            assert src.u_q(params.q).tobytes() == (
+            assert s.u_q(params.q).tobytes() == (
                 np.abs(s.u[: s.window]) ** params.q
             ).tobytes()
             w = s.grid.weights[: s.window]
-            sources = (("int_ut_p", src.ut_p(params.p)), ("int_u_q", src.u_q(params.q)))
+            sources = (("int_ut_p", s.ut_p(params.p)), ("int_u_q", s.u_q(params.q)))
             for column, values in sources:
                 own = area * float(np.dot(w, values))
                 assert getattr(res.monitors, column)[i].tobytes() == np.float64(own).tobytes()
 
-        # unmonitored with b = 0: after the Taylor start no |u|^q pass
+        # unmonitored with b = 0: no |u|^q pass, the Taylor start's included
         passes.clear()
         covered.clear()
         monkeypatch.setattr(kernels, "advance", advance)
         cfg = replace(cfg, params=replace(params, b=0))
         res = run(cfg, monitor=False)
         assert res.outcome == "blowup"
-        mag_v = {id(c.sources.mag_v) for c in covered}
+        mag_v = {id(c.mag_v) for c in covered}
         others = [id(x) for x in passes if id(x) not in mag_v]
-        assert others == [id(covered[0].sources.mag_u)]  # the Taylor start's
+        assert others == []
         assert covered[0].step == 0
 
 
@@ -618,6 +617,26 @@ class TestRun:
         assert res.outcome == "blowup"
         assert res.steps < 5000
         assert res.t_blowup == pytest.approx(7.0729, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "a, b, absent",
+        [(1, 0, "q"), (0, 1, "p")],
+        ids=["b0-q1000", "a0-p1000"],
+    )
+    def test_overflowing_absent_source_does_not_move_the_run(self, a, b, absent):
+        # eps = 3: the absent source's power overflows to inf. The Taylor
+        # start weighted it by 0, and 0 * inf = nan ended the run as
+        # unstable after one step; the F'' identity did the same to the
+        # monitored residual.
+        params = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=a, b=b)
+        cfg = SimConfig(params=params, eps=3.0, L=12.0, nr=300, t_max=10.0)
+        ref = run(cfg, monitor=False)
+        big = replace(params, **{absent: 1000.0})
+        with np.errstate(over="ignore"):  # the monitor's column of it is inf
+            res = run(replace(cfg, params=big))
+        assert ref.outcome == res.outcome == "blowup"
+        assert (res.t_blowup, res.steps) == (ref.t_blowup, ref.steps)
+        assert np.isfinite(residual_F(res.monitors, big).relative).all()
 
     @pytest.mark.parametrize("field", ["u", "v"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
