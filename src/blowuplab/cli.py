@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exponents, functionals, runio, specfun
 from .errors import BlowupLabError, ConfigError, InsufficientDataError
-from .lifespan import DEFAULT_TAU, compare_to_theory, fit_exponential_law, fit_power_law, sweep
+from .lifespan import SweepConfig, compare_to_theory, fit_exponential_law, fit_power_law, sweep
 from .solver import SimConfig, run
 
 
@@ -148,6 +148,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if np.isnan(args.t_lo):  # +-inf are a window past either end; nan is no time
+        raise ConfigError("--t-lo must be a number, got nan")
     run_dir = Path(args.run_dir)
     manifest = runio.load_json(run_dir / "manifest.json")
     config = runio._require(manifest, "config", "manifest")
@@ -200,16 +202,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = runio.load_json(args.config)
-    eps_list = runio.eps_list_from_dict(doc)
-    base_doc = runio._require(doc, "base", "sweep config")
-    base = runio.config_from_dict(SimConfig, base_doc, "run config")
-    refine = runio.integer(doc.get("refine", 2), "refine")
-    tau = runio.number(doc.get("tau", DEFAULT_TAU), "tau")
-    if not 0 < tau < 1:
-        raise ConfigError(f"tau must lie in (0, 1), got {tau}")
-
-    result = sweep(base, eps_list, refine=refine, jobs=args.jobs)
+    cfg = runio.config_from_dict(SweepConfig, runio.load_json(args.config), "sweep config")
+    result = sweep(cfg.base, cfg.eps_list, refine=cfg.refine, jobs=args.jobs)
     fit_payload: dict = {"bound": {"kind": result.bound.kind, "exponent": result.bound.exponent}}
     unstable = sum(row.outcome == "unstable" for row in result.rows)
     if unstable:
@@ -217,12 +211,12 @@ def _cmd_sweep(args) -> int:
     verdict_tag = "not-applicable"
     try:
         if result.bound.kind == "exponential":
-            fit = fit_exponential_law(result, base.params.p)
+            fit = fit_exponential_law(result, cfg.base.params.p)
         else:
             fit = fit_power_law(result)
         fit_payload["fit"] = asdict(fit)
         if result.bound.kind == "algebraic":
-            verdict = compare_to_theory(fit, result.bound, tau)
+            verdict = compare_to_theory(fit, result.bound, cfg.tau)
             if unstable and verdict.verdict == "consistent":
                 # the fit left out rows that failed numerically
                 verdict = replace(verdict, verdict="inconclusive")
@@ -231,14 +225,8 @@ def _cmd_sweep(args) -> int:
     except BlowupLabError as exc:
         fit_payload["fit_error"] = str(exc)
 
-    sweep_cfg = {
-        "base": runio.config_to_dict(base),
-        "eps_list": eps_list,
-        "refine": refine,
-        "tau": tau,
-    }
     out = runio.default_out_dir(args.out)
-    sweep_dir = runio.write_sweep_artifacts(out, sweep_cfg, result, fit_payload)
+    sweep_dir = runio.write_sweep_artifacts(out, cfg, result, fit_payload)
     if not args.quiet:
         print(f"verdict={verdict_tag} dir={sweep_dir}", file=sys.stderr)
     return 1 if verdict_tag == "inconsistent" else 0
@@ -246,6 +234,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     out = runio.default_out_dir(args.out)
+    if not out.is_dir():
+        raise ConfigError(f"no such results directory: {out}")
     dest = out / "summary.csv"
     n = runio.merge_manifests(out, dest)
     print(f"{n} run(s) merged into {dest}", file=sys.stderr)

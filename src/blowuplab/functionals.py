@@ -111,7 +111,8 @@ def compute_snapshot(state: "State", params: ModelParams) -> FunctionalSnapshot:
 
     Every integral takes the state's window, with the weights and log phi
     of its grid; the nonlinear ones dot the weights with the state's
-    sources |v|^p and |u|^q, state.ut_p and state.u_q.
+    sources |v|^p and |u|^q, state.ut_p and state.u_q. A source the
+    equation lacks (a = 0 or b = 0) is not taken: its integral is 0.0.
     """
     m = state.window
     area = surface_area(params.N)
@@ -123,8 +124,8 @@ def compute_snapshot(state: "State", params: ModelParams) -> FunctionalSnapshot:
     G = (1.0 + state.t) ** (params.mu / 2.0) * F
     u_phi = area * float(np.dot(w, state.u[:m] * phi_t))
     v_phi = area * float(np.dot(w, state.v[:m] * phi_t))
-    int_ut_p = area * float(np.dot(w, state.ut_p(params.p)))
-    int_u_q = area * float(np.dot(w, state.u_q(params.q)))
+    int_ut_p = area * float(np.dot(w, state.ut_p(params.p))) if params.a else 0.0
+    int_u_q = area * float(np.dot(w, state.u_q(params.q))) if params.b else 0.0
     return FunctionalSnapshot(
         state.t, state.amps[0], F, G, u_phi, v_phi, int_ut_p, int_u_q, state.dt_prev
     )

@@ -5,8 +5,6 @@ log T against log eps (power law) or eps^{-(p-1)} (critical exponential
 law), and issues a consistency verdict against the theoretical exponent.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import os
@@ -20,6 +18,31 @@ from .exponents import LifespanBound, lifespan_exponent
 from .solver import SimConfig, SweepRow, measure_lifespan
 
 DEFAULT_TAU = 0.25
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """One epsilon sweep; each field is a key of the sweep-config JSON.
+
+    eps_list is a strictly decreasing ladder of at least 3 positive, finite
+    epsilons, and tau the verdict band, in (0, 1).
+    """
+
+    base: SimConfig
+    eps_list: tuple
+    refine: int = 2
+    tau: float = DEFAULT_TAU
+
+    def __post_init__(self) -> None:
+        eps = self.eps_list
+        if len(eps) < 3:
+            raise ConfigError(f"need >= 3 epsilons, got {len(eps)}")
+        if not all(0 < e < math.inf for e in eps):
+            raise ConfigError("all epsilons must be positive and finite")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ConfigError("epsilon ladder must be strictly decreasing")
+        if not 0 < self.tau < 1:
+            raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +75,7 @@ def sweep(
 ) -> SweepResult:
     """One measure_lifespan row per epsilon, largest epsilon first.
 
+    The ladder must pass SweepConfig's checks (ConfigError otherwise).
     The largest-epsilon row calibrates the constant in T ~ C eps^{-k}
     (k from the theoretical bound) if it blew up; the horizon for smaller
     epsilons is grown to at least 3x the predicted lifespan. Only eps and
@@ -59,13 +83,7 @@ def sweep(
     h = base.h / 2**l. A row that reached t_max or went unstable is kept
     with its outcome; the fits leave it out.
     """
-    eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 3:
-        raise InsufficientDataError(f"need >= 3 epsilons, got {len(eps_list)}")
-    if not all(0 < e < math.inf for e in eps_list):
-        raise ConfigError("all epsilons must be positive and finite")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("epsilon ladder must be strictly decreasing")
+    eps_list = SweepConfig(base, tuple(map(float, eps_list)), refine).eps_list
 
     bound = lifespan_exponent(base.params)
 

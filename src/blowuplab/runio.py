@@ -4,17 +4,19 @@ Configs and manifests are JSON; series and tables are CSV. Artifact
 directories are named by a truncated SHA-256 of the canonically
 serialized config, so identical configs land in identical paths.
 
-The run-config schema is the fields of the config dataclasses SimConfig,
-InitialProfile and ModelParams, one JSON key per field. A field with no
-default is a required key; an absent optional key takes the field's
-default. An int field is read by `integer`, a float field by `number`, a
-nested config dataclass as a nested object, and a str is passed on for its
-dataclass to check. Keys that are not fields are ignored, and a field
-marked `metadata={"schema": False}` (the `forcing` test hook) is neither
-read nor written. The modules defining those dataclasses do not postpone
-annotations, so each field's type is the class itself. `config_from_dict`
-reads the schema and `config_to_dict` writes it, so a new config field is
-one line in its dataclass.
+A config's schema is the fields of its dataclass, one JSON key per field:
+SimConfig with its InitialProfile and ModelParams for a run, SweepConfig
+(whose base is a run config) for a sweep. A field with no default is a
+required key; an absent optional key takes the field's default. An int
+field is read by `integer`, a float field by `number`, a tuple field as a
+non-empty list of numbers, a nested config dataclass as a nested object,
+and a str is passed on for its dataclass to check. Keys that are not
+fields are ignored, and a field marked `metadata={"schema": False}` (the
+`forcing` test hook) is neither read nor written. The modules defining
+those dataclasses do not postpone annotations, so each field's type is
+the class itself. `config_from_dict` reads the schema and
+`config_to_dict` writes it, so a new config field is one line in its
+dataclass.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, InsufficientDataError
 from .exponents import ModelParams
 from .functionals import MONITOR_COLUMNS, MonitorSeries, residual_F
-from .lifespan import SweepResult
+from .lifespan import SweepConfig, SweepResult
 from .solver import RunResult, SimConfig
 
 TOOL_VERSION = "blowuplab 0.1.0"
@@ -88,8 +90,14 @@ def _schema_fields(cls) -> list:
     return [f for f in dataclasses.fields(cls) if f.metadata.get("schema", True)]
 
 
+def _numbers(value, name: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+    return tuple(number(e, f"{name}[{i}]") for i, e in enumerate(value))
+
+
 # How a field of each type is read; a str is passed on for its dataclass to check.
-_READERS = {int: integer, float: number, str: lambda value, name: value}
+_READERS = {int: integer, float: number, tuple: _numbers, str: lambda value, name: value}
 
 
 def _field_value(kind, value, name: str):
@@ -117,14 +125,6 @@ def config_to_dict(cfg) -> dict:
         value = getattr(cfg, f.name)
         out[f.name] = config_to_dict(value) if dataclasses.is_dataclass(value) else value
     return out
-
-
-def eps_list_from_dict(d: dict) -> list[float]:
-    """A sweep config's eps_list: a non-empty list of numbers, as floats."""
-    eps_list = _require(d, "eps_list", "sweep config")
-    if not isinstance(eps_list, list) or not eps_list:
-        raise ConfigError(f"eps_list must be a non-empty list in sweep config, got {eps_list!r}")
-    return [number(e, f"eps_list[{i}]") for i, e in enumerate(eps_list)]
 
 
 def load_json(path) -> dict:
@@ -202,9 +202,10 @@ def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Pa
 
 
 def write_sweep_artifacts(
-    out_root: Path, sweep_cfg: dict, result: SweepResult, fit_payload: dict
+    out_root: Path, cfg: SweepConfig, result: SweepResult, fit_payload: dict
 ) -> Path:
-    sweep_dir = Path(out_root) / config_hash(sweep_cfg)
+    """Write sweep.csv + fit.json under out_root/<config hash>/."""
+    sweep_dir = Path(out_root) / config_hash(config_to_dict(cfg))
     sweep_dir.mkdir(parents=True, exist_ok=True)
     with open(sweep_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

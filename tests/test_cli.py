@@ -276,6 +276,14 @@ class TestVerify:
         assert "eps" in err
         assert not (run_dir / "verify.json").exists()
 
+    def test_verify_nan_t_lo_exit_2(self, tmp_path, capsys):
+        # a nan window bound would skip the coercivity check
+        run_dir = self._solved(tmp_path, capsys)
+        assert main(["verify", str(run_dir), "--t-lo", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--t-lo" in err
+        assert not (run_dir / "verify.json").exists()
+
     def test_empty_coercivity_window_is_skipped(self, tmp_path, capsys):
         run_dir = self._solved(tmp_path, capsys)
         assert main(["verify", str(run_dir), "--t-lo", "1e6"]) == 0
@@ -450,6 +458,8 @@ class TestSweep:
         ("solve", dict(RUN_CONFIG, dt_min=0.5, L=640.0, nr=64)),
         # h = 0.06 at refine level 0, 0.03 at level 1: level 1 fails before any run
         ("sweep", dict(SWEEP_CONFIG, base=dict(RUN_CONFIG, dt_min=0.04), refine=2)),
+        # a ladder needs 3 epsilons for a fit
+        ("sweep", dict(SWEEP_CONFIG, eps_list=[0.4, 0.3])),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):
@@ -471,6 +481,15 @@ def test_report_merges_runs(tmp_path, capsys):
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0].startswith("hash,N,mu,p,q,a,b,eps,nr,outcome")
     assert len(lines) == 3
+
+
+def test_report_missing_out_dir_exit_2(tmp_path, capsys):
+    out = tmp_path / "absent"
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", ["5", "{", '{"config": 5}', '{"config": {"params": []}}'])

@@ -123,7 +123,7 @@ class TestVerdict:
 
 class TestSweep:
     def test_ladder_validation(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ConfigError):
             sweep(BASE, [0.4, 0.2])
         with pytest.raises(ConfigError):
             sweep(BASE, [0.4, 0.2, -0.1])

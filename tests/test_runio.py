@@ -16,6 +16,7 @@ from blowuplab.cli import main
 from blowuplab.errors import ConfigError, InsufficientDataError
 from blowuplab.exponents import ModelParams
 from blowuplab.functionals import MONITOR_COLUMNS, MonitorSeries, residual_F
+from blowuplab.lifespan import SweepConfig
 from blowuplab.runio import (
     CSV_COLUMNS,
     config_from_dict,
@@ -267,3 +268,45 @@ def test_run_config_round_trip_and_hash(cfg, seed):
     for path, leaf in _leaves(d):
         other = leaf + "x" if isinstance(leaf, str) else 2 * leaf + 1
         assert config_hash(_replaced(d, path, other)) != config_hash(d), path
+
+
+@hs.composite
+def _sweep_configs(draw):
+    eps = draw(hs.lists(_POSITIVE, min_size=3, max_size=6, unique=True))
+    return SweepConfig(
+        base=draw(_sim_configs()),
+        eps_list=tuple(sorted(eps, reverse=True)),
+        refine=draw(hs.integers(1, 5)),
+        tau=draw(hs.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sweep_configs())
+def test_sweep_config_round_trip_and_hash(cfg):
+    d = config_to_dict(cfg)
+    assert config_from_dict(SweepConfig, json.loads(json.dumps(d)), "sweep config") == cfg
+    # the document the sweep directory was named by before SweepConfig existed
+    by_hand = {
+        "base": config_to_dict(cfg.base),
+        "eps_list": list(cfg.eps_list),
+        "refine": cfg.refine,
+        "tau": cfg.tau,
+    }
+    assert config_hash(d) == config_hash(by_hand)
+
+
+@pytest.mark.parametrize(
+    "eps_list, message",
+    [
+        (5, r"^eps_list must be a non-empty list, got 5$"),
+        ([], r"^eps_list must be a non-empty list, got \[\]$"),
+        ([0.4, "x", 0.2], r"^eps_list\[1\] must be a number, got 'x'$"),
+        ([0.4, True, 0.2], r"^eps_list\[1\] must be a number, got True$"),
+        ([0.4, 0.3], r"^need >= 3 epsilons, got 2$"),
+    ],
+)
+def test_malformed_eps_list_is_named(eps_list, message):
+    doc = {"base": RUN_DOC, "eps_list": eps_list}
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(SweepConfig, doc, "sweep config")

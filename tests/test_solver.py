@@ -1,6 +1,7 @@
 """Radial finite-difference solver: correctness, order, and run policy."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -627,15 +628,18 @@ class TestRun:
         # eps = 3: the absent source's power overflows to inf. The Taylor
         # start weighted it by 0, and 0 * inf = nan ended the run as
         # unstable after one step; the F'' identity did the same to the
-        # monitored residual.
+        # monitored residual, and the monitor wrote inf into its column.
         params = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=a, b=b)
         cfg = SimConfig(params=params, eps=3.0, L=12.0, nr=300, t_max=10.0)
         ref = run(cfg, monitor=False)
         big = replace(params, **{absent: 1000.0})
-        with np.errstate(over="ignore"):  # the monitor's column of it is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in a power nobody reads
             res = run(replace(cfg, params=big))
         assert ref.outcome == res.outcome == "blowup"
         assert (res.t_blowup, res.steps) == (ref.t_blowup, ref.steps)
+        column = res.monitors.int_u_q if absent == "q" else res.monitors.int_ut_p
+        assert len(column) > 0 and (column == 0.0).all()
         assert np.isfinite(residual_F(res.monitors, big).relative).all()
 
     @pytest.mark.parametrize("field", ["u", "v"])
