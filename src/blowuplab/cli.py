@@ -202,6 +202,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = runio.config_from_dict(SweepConfig, runio.load_json(args.config), "sweep config")
     result = sweep(cfg.base, cfg.eps_list, refine=cfg.refine, jobs=args.jobs)
     fit_payload: dict = {"bound": {"kind": result.bound.kind, "exponent": result.bound.exponent}}

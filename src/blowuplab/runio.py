@@ -81,7 +81,7 @@ def number(value, name: str) -> float:
     try:
         if not isinstance(value, bool):
             return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
         pass
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
@@ -133,7 +133,7 @@ def load_json(path) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -17,7 +17,12 @@ exponentially, so the rule converges exponentially and needs no adaptivity.
 phi is in closed form for N = 1 and N = 3 (2 cosh r and 4 pi sinh(r)/r).
 Every other fixed-rule quadrature (phi's sphere average for N = 2 and
 N >= 4 here, c_fg and lemma31_ratio in functionals) takes one 256-node
-Gauss-Legendre rule, fixed_rule. Both rules are built on first use.
+Gauss-Legendre rule, fixed_rule. Its nodes and weights are data, read on
+first use from gauss_legendre_256.txt; K_nu's grid is built on first use.
+
+A batch of points (times for K_nu, radii for phi) is summed in chunks of
+rows, each (rows x nodes) temporary holding at most _CHUNK_ELEMENTS values,
+so its temporaries do not grow with the batch.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,14 +39,17 @@ from .errors import DomainError
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The _FIXED_NODES-point Gauss-Legendre rule on [-1, 1], built once.
+    """The _FIXED_NODES-point Gauss-Legendre rule on [-1, 1], read once.
 
-    Callers share the cached arrays, so they are returned read-only.
+    gauss_legendre_256.txt holds np.polynomial.legendre.leggauss(256) exactly:
+    one node and its weight per line, as float.hex strings. Callers share the
+    cached arrays, so they are returned read-only.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_FIXED_NODES)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    text = (Path(__file__).parent / f"gauss_legendre_{_FIXED_NODES}.txt").read_text()
+    pairs = np.array([float.fromhex(v) for v in text.split()])
+    rule = pairs.reshape(_FIXED_NODES, 2).T.copy()
+    rule.flags.writeable = False
+    return rule[0], rule[1]
 
 
 # Nodes of fixed_rule, the one Gauss-Legendre rule of every fixed-rule quadrature.
@@ -48,6 +57,9 @@ _FIXED_NODES = 256
 
 # Equal steps of the K_nu trapezoid rule.
 _KV_STEPS = 64
+
+# Values in one (rows x nodes) temporary of a batched quadrature: 128 KiB.
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def fixed_rule(upper: float) -> tuple[np.ndarray, np.ndarray]:
@@ -61,6 +73,21 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
+
+
+def _by_rows(row_sums, x, nodes: int) -> np.ndarray:
+    """row_sums(chunk) over the points of x, in chunks of rows whose
+    (rows x nodes) temporaries hold at most _CHUNK_ELEMENTS values.
+
+    row_sums maps a 1-D chunk of points to one value per point, each summed
+    along its own row, so the chunking changes no value. Shaped like x.
+    """
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    rows = max(1, _CHUNK_ELEMENTS // nodes)
+    for lo in range(0, flat.size, rows):
+        out[lo : lo + rows] = row_sums(flat[lo : lo + rows])
+    return out.reshape(x.shape)
 
 
 @functools.cache
@@ -110,14 +137,18 @@ def _kv_scaled(nu: float, t):
     |nu| <= 4 and 3.3e-15 for |nu| <= 8. The rule's own error is far smaller:
     the rest is the rounding of the integrand, whose arguments grow with |nu|.
     t may be an array (a float gives a float): each t sums its nodes along its
-    own row, bitwise alike in a batch of any size. It is even in nu, bitwise.
+    own row, bitwise alike in a batch of any size, which is taken in chunks
+    (_by_rows). It is even in nu, bitwise.
     """
-    t = np.asarray(t, dtype=float)
-    zmax = _zeta_max(nu, t)
     nodes, weights = _unit_trapezoid()
-    z = zmax[..., None] * nodes
-    vals = np.exp(-2.0 * t[..., None] * np.sinh(0.5 * z) ** 2) * np.cosh(nu * z)
-    out = zmax * np.add.reduce(vals * weights, axis=-1)
+
+    def row_sums(t):
+        zmax = _zeta_max(nu, t)
+        z = zmax[:, None] * nodes
+        vals = np.exp(-2.0 * t[:, None] * np.sinh(0.5 * z) ** 2) * np.cosh(nu * z)
+        return zmax * np.add.reduce(vals * weights, axis=-1)
+
+    out = _by_rows(row_sums, np.asarray(t, dtype=float), nodes.size)
     return out if out.ndim else float(out)
 
 
@@ -152,7 +183,8 @@ def phi(N: int, r):
 
     N = 1 gives e^r + e^{-r} and N = 3 gives 4 pi sinh(r)/r; every other N
     the sphere average of e^{x.omega} reduced to a 1-D theta integral, whose
-    rule each radius sums along its own row, bitwise alike in any batch.
+    rule each radius sums along its own row, bitwise alike in any batch,
+    which is taken in chunks (_by_rows).
     """
     if N < 1:
         raise DomainError(f"dimension must be >= 1, got {N}")
@@ -166,8 +198,9 @@ def phi(N: int, r):
         out = np.where(r_arr == 0, 4.0 * math.pi, 4.0 * math.pi * np.sinh(safe) / safe)
     else:
         theta, w = fixed_rule(math.pi)
-        core = np.exp(r_arr[..., None] * np.cos(theta)) * np.sin(theta) ** (N - 2)
-        out = _sphere_area(N - 2) * np.add.reduce(core * w, axis=-1)
+        cos, sin_pow = np.cos(theta), np.sin(theta) ** (N - 2)
+        row_sums = lambda r: np.add.reduce(np.exp(r[:, None] * cos) * sin_pow * w, axis=-1)
+        out = _sphere_area(N - 2) * _by_rows(row_sums, r_arr, theta.size)
     return out if np.ndim(r) else float(out)
 
 
@@ -186,8 +219,9 @@ def log_phi(N: int, r):
         out = np.where(r_arr == 0, math.log(4.0 * math.pi), inner)
     else:
         theta, w = fixed_rule(math.pi)
-        core = np.exp(r_arr[..., None] * (np.cos(theta) - 1.0)) * np.sin(theta) ** (N - 2)
-        out = r_arr + np.log(_sphere_area(N - 2) * np.add.reduce(core * w, axis=-1))
+        cos_m1, sin_pow = np.cos(theta) - 1.0, np.sin(theta) ** (N - 2)
+        row_sums = lambda r: np.add.reduce(np.exp(r[:, None] * cos_m1) * sin_pow * w, axis=-1)
+        out = r_arr + np.log(_sphere_area(N - 2) * _by_rows(row_sums, r_arr, theta.size))
     return out if np.ndim(r) else float(out)
 
 

@@ -473,6 +473,33 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, doc):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "command, doc, digits, named",
+    [
+        ("solve", dict(RUN_CONFIG, eps="BIG"), 400, "eps"),
+        ("sweep", dict(SWEEP_CONFIG, eps_list=[0.4, "BIG", 0.2]), 400, "eps_list[1]"),
+        # past Python's 4300-digit limit the JSON reader itself refuses the int
+        ("solve", dict(RUN_CONFIG, eps="BIG"), 5000, "malformed JSON"),
+    ],
+)
+def test_integer_past_the_float_range_exit_2(tmp_path, capsys, command, doc, digits, named):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * digits))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    argv = ["sweep", "--config", _write(tmp_path, "sweep.json", SWEEP_CONFIG)]
+    assert main(argv + ["--out", str(tmp_path / "r"), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"config error: --jobs must be at least 1, got {jobs}\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_report_merges_runs(tmp_path, capsys):
     out = tmp_path / "results"
     main(["solve", "--config", _write(tmp_path, "a.json", RUN_CONFIG), "--out", str(out)])

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -215,6 +216,25 @@ class TestPhi:
             alone = np.array([fn(N, x) for x in r])
             assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
 
+    def test_rule_batch_in_chunks_bitwise_in_bounded_memory(self):
+        # a RadialGrid(2, 0.01, 4400).log_phi: chunked, it equals the whole
+        # (4400 x 256) batch, whose temporaries alone would take 9 MB each
+        r = np.arange(4400) * 0.01
+        theta, w = specfun.fixed_rule(math.pi)
+        core = np.exp(r[..., None] * np.cos(theta)) * np.sin(theta) ** 0
+        whole_phi = 2.0 * np.add.reduce(core * w, axis=-1)
+        core = np.exp(r[..., None] * (np.cos(theta) - 1.0)) * np.sin(theta) ** 0
+        whole_log_phi = r + np.log(2.0 * np.add.reduce(core * w, axis=-1))
+        for fn, whole in ((phi, whole_phi), (log_phi, whole_log_phi)):
+            tracemalloc.start()
+            try:
+                chunked = fn(2, r)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(chunked.view(np.uint64), whole.view(np.uint64))
+            assert peak < 2 * 2**20
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             phi(0, 1.0)
@@ -310,7 +330,8 @@ def test_surface_area():
 
 
 class TestGaussLegendre:
-    def test_each_rule_built_once(self, monkeypatch):
+    def test_no_rule_built_and_table_loaded_once(self, monkeypatch):
+        # the rule is data: leggauss never runs, and its table is read once
         built = []
         leggauss = np.polynomial.legendre.leggauss
         monkeypatch.setattr(
@@ -322,11 +343,13 @@ class TestGaussLegendre:
             for t in (0.0, 1.0, 5.0):
                 log_rho(ctx, t)
                 rho_log_derivative(ctx, t)
-                log_phi(3, np.linspace(0.0, t + 1.0, 50))
+                log_phi(2, np.linspace(0.0, t + 1.0, 50))
                 lemma31_ratio(ctx, t, 2.0)
                 c_fg(ctx, InitialProfile(R=1.0), 0.3)
-            # the one fixed rule, nothing else: K_nu takes the trapezoid rule
-            assert sorted(built) == [256]
+            assert built == []
+            assert specfun._gauss_legendre.cache_info().misses == 1
+            nodes, weights = specfun._gauss_legendre()
+            assert not nodes.flags.writeable and not weights.flags.writeable
         finally:
             specfun._gauss_legendre.cache_clear()
 
@@ -337,13 +360,31 @@ class TestGaussLegendre:
             "leg.leggauss = lambda n: built.append(n) or leggauss(n)\n"
             "import blowuplab.cli\n"
             "from blowuplab import specfun\n"
-            "print(built, specfun._unit_trapezoid.cache_info().currsize)"
+            "print(built, specfun._unit_trapezoid.cache_info().currsize,"
+            " specfun._gauss_legendre.cache_info().currsize)"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "[] 0"
+        assert out.stdout.strip() == "[] 0 0"
+
+    def test_fixed_rule_quadratures_import_no_numpy_polynomial(self):
+        code = (
+            "import sys, math\n"
+            "from blowuplab import functionals, specfun\n"
+            "from blowuplab.solver import InitialProfile\n"
+            "ctx = specfun.TestFunctionContext(N=2, mu=0.5)\n"
+            "functionals.lemma31_ratio(ctx, 1.0, 2.0)\n"
+            "functionals.c_fg(ctx, InitialProfile(R=1.0), 0.3)\n"
+            "specfun.log_phi(4, [0.0, 1.0])\n"
+            "print('numpy.polynomial' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("n", [256])
     def test_read_only_and_exact(self, n):
@@ -392,6 +433,24 @@ class TestArrayOfTimes:
             alone = np.array([fn(ctx, t) for t in times])
             assert batch.shape == alone.shape
             assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
+
+    def test_chunks_equal_scalar_calls_bitwise_in_bounded_memory(self):
+        # more times than one chunk holds: two full chunks and a partial one
+        rows = specfun._CHUNK_ELEMENTS // (specfun._KV_STEPS + 1)
+        t = np.linspace(0.1, 400.0, 2 * rows + 7)
+        for nu in (0.25, 2.0):
+            batch = specfun._kv_scaled(nu, t)
+            alone = np.array([specfun._kv_scaled(nu, s) for s in t])
+            assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
+        # 20,000 times in one (times x 65) temporary would take 10.4 MB
+        specfun._unit_trapezoid()
+        tracemalloc.start()
+        try:
+            specfun._kv_scaled(0.25, np.linspace(0.1, 400.0, 20_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_float_stays_float(self):
         ctx = TestFunctionContext(N=2, mu=0.5)
