@@ -132,10 +132,10 @@ def _cmd_specfun_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = runio.config_from_dict(SimConfig, runio.load_json(args.config), "run config")
+    out = runio.default_out_dir(args.out)
     t0 = time.perf_counter()
     result = run(cfg)
     elapsed = time.perf_counter() - t0
-    out = runio.default_out_dir(args.out)
     run_dir = runio.write_run_artifacts(out, cfg, result)
     if not args.quiet:
         print(
@@ -205,6 +205,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = runio.config_from_dict(SweepConfig, runio.load_json(args.config), "sweep config")
+    out = runio.default_out_dir(args.out)
     result = sweep(cfg.base, cfg.eps_list, refine=cfg.refine, jobs=args.jobs)
     fit_payload: dict = {"bound": {"kind": result.bound.kind, "exponent": result.bound.exponent}}
     unstable = sum(row.outcome == "unstable" for row in result.rows)
@@ -227,7 +228,6 @@ def _cmd_sweep(args) -> int:
     except BlowupLabError as exc:
         fit_payload["fit_error"] = str(exc)
 
-    out = runio.default_out_dir(args.out)
     sweep_dir = runio.write_sweep_artifacts(out, cfg, result, fit_payload)
     if not args.quiet:
         print(f"verdict={verdict_tag} dir={sweep_dir}", file=sys.stderr)

@@ -23,13 +23,17 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
 from pathlib import Path
 
 import numpy as np
+
+try:  # CPython's own SHA-256; hashlib would map OpenSSL's libcrypto (3.5 MB) for it
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .errors import ConfigError, InsufficientDataError
 from .exponents import ModelParams
@@ -48,7 +52,7 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
+    return sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
 def _require(d: dict, key: str, where: str):
@@ -127,14 +131,23 @@ def config_to_dict(cfg) -> dict:
     return out
 
 
-def load_json(path) -> dict:
+def _open(path, **kwargs):
+    """path opened for reading; failing to open it (a missing file, a directory
+    in its place) is a ConfigError naming it."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return open(path, **kwargs)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        raise ConfigError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def load_json(path) -> dict:
+    with _open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -154,7 +167,7 @@ def write_series_csv(path: Path, series: MonitorSeries, params: ModelParams) -> 
 
 
 def read_series_csv(path) -> MonitorSeries:
-    with open(path, newline="") as fh:
+    with _open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [name for name in MONITOR_COLUMNS if name not in header]
@@ -173,9 +186,15 @@ def read_series_csv(path) -> MonitorSeries:
 
 
 def default_out_dir(cli_value=None) -> Path:
-    if cli_value:
-        return Path(cli_value)
-    return Path(os.environ.get("BLOWUPLAB_OUT", "results"))
+    """The results directory: --out, else $BLOWUPLAB_OUT, else ./results.
+
+    A path that exists and is not a directory is a ConfigError; `solve` and
+    `sweep` ask before their first run, so no run's work is lost to it.
+    """
+    out = Path(cli_value or os.environ.get("BLOWUPLAB_OUT", "results"))
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"no such results directory: {out}")
+    return out
 
 
 def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Path:

@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+from blowuplab import cli
 from blowuplab.cli import main
 
 RUN_CONFIG = {
@@ -528,3 +532,83 @@ def test_report_malformed_manifest_exit_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(run_dir / "manifest.json") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "solve", "sweep"])
+def test_config_path_that_is_a_directory_exit_2(tmp_path, capsys, command):
+    argv = [command, "--config", str(tmp_path)]
+    if command != "classify":
+        argv += ["--out", str(tmp_path / "r")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot read {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "monitors.csv"])
+@pytest.mark.parametrize("absent", [True, False], ids=["missing", "directory"])
+def test_verify_unreadable_run_file_exit_2(tmp_path, capsys, name, absent):
+    out = tmp_path / "results"
+    main(["solve", "--config", _write(tmp_path, "run.json", RUN_CONFIG), "--out", str(out)])
+    capsys.readouterr()
+    run_dir = next(out.iterdir())
+    path = run_dir / name
+    path.unlink()
+    if not absent:
+        path.mkdir()
+    assert main(["verify", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    reason = "file not found: " if absent else "cannot read "
+    assert err.startswith(f"config error: {reason}{path}")
+    assert not (run_dir / "verify.json").exists()
+
+
+def test_report_manifest_that_is_a_directory_exit_2(tmp_path, capsys):
+    path = tmp_path / "results" / "0123456789abcdef" / "manifest.json"
+    path.mkdir(parents=True)
+    assert main(["report", "--out", str(tmp_path / "results")]) == 2
+    assert capsys.readouterr().err == f"config error: cannot read {path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "report"])
+def test_out_path_that_is_a_file_exit_2_before_any_run(tmp_path, capsys, monkeypatch, command):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli, "sweep", no_run)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    doc = SWEEP_CONFIG if command == "sweep" else RUN_CONFIG
+    argv = [command, "--out", str(afile)]
+    if command != "report":
+        argv += ["--config", _write(tmp_path, "c.json", doc)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: no such results directory: {afile}\n"
+    assert afile.read_text() == "kept\n"
+
+
+def test_cli_commands_import_no_openssl_and_no_numpy_polynomial(tmp_path):
+    # hashlib loads OpenSSL's libcrypto; the artifact hash takes the built-in SHA-256
+    (tmp_path / "run.json").write_text(json.dumps(dict(RUN_CONFIG, nr=800)))  # verify passes
+    (tmp_path / "sweep.json").write_text(json.dumps(SWEEP_CONFIG))
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from blowuplab.cli import main\n"
+        "tmp = Path(sys.argv[1])\n"
+        "out = tmp / 'runs'\n"
+        "codes = [main(['--quiet', 'solve', '--config', str(tmp / 'run.json'), '--out', str(out)])]\n"
+        "codes.append(main(['--quiet', 'verify', str(next(out.iterdir()))]))\n"
+        "codes.append(main(['--quiet', 'report', '--out', str(out)]))\n"
+        "sweep = ['--quiet', 'sweep', '--config', str(tmp / 'sweep.json')]\n"
+        "codes.append(main(sweep + ['--out', str(tmp / 'sweeps'), '--jobs', '1']))\n"
+        "print(codes, '_hashlib' in sys.modules, 'numpy.polynomial' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] False False"
+    assert (tmp_path / "runs" / "summary.csv").exists()

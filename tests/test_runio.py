@@ -2,16 +2,21 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from blowuplab import runio
 from blowuplab.cli import main
 from blowuplab.errors import ConfigError, InsufficientDataError
 from blowuplab.exponents import ModelParams
@@ -19,6 +24,7 @@ from blowuplab.functionals import MONITOR_COLUMNS, MonitorSeries, residual_F
 from blowuplab.lifespan import SweepConfig
 from blowuplab.runio import (
     CSV_COLUMNS,
+    canonical_json,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -310,3 +316,59 @@ def test_malformed_eps_list_is_named(eps_list, message):
     doc = {"base": RUN_DOC, "eps_list": eps_list}
     with pytest.raises(ConfigError, match=message):
         config_from_dict(SweepConfig, doc, "sweep config")
+
+
+_JSON = hs.recursive(
+    hs.none() | hs.booleans() | hs.integers() | hs.floats(allow_nan=False) | hs.text(),
+    lambda inner: hs.lists(inner, max_size=4) | hs.dictionaries(hs.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.dictionaries(hs.text(), _JSON, max_size=6))
+def test_config_hash_is_hashlib_sha256(doc):
+    expected = hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
+    assert config_hash(doc) == expected
+
+
+_COMBINED = {"N": 3, "mu": 0.5, "p": 1.9, "q": 2.2, "a": 1, "b": 1}
+_LADDER = {
+    "base": {"params": _COMBINED, "eps": 2.4, "L": 21.0, "nr": 1050, "t_max": 20.0},
+    "eps_list": [2.4, 1.2, 0.7],
+    "refine": 1,
+}
+_MONITORED = {
+    "params": _COMBINED, "eps": 1.2, "L": 21.0, "nr": 2100, "t_max": 20.0, "monitor_stride": 2,
+}
+
+
+def test_gated_configs_keep_their_directory_names():
+    # the run directories of the benchmark's two seed-0 workloads
+    ladder = config_to_dict(config_from_dict(SweepConfig, _LADDER, "sweep config"))
+    assert config_hash(ladder) == "fdb2f6a368650555"
+    monitored = config_to_dict(config_from_dict(SimConfig, _MONITORED, "run config"))
+    assert config_hash(monitored) == "4bc45ee1e293b4ec"
+
+
+def test_hashlib_fallback_gives_the_same_digests():
+    # this interpreter has the built-in module; without it hashlib (OpenSSL) is taken
+    import _sha256
+
+    assert runio.sha256 is _sha256.sha256
+    docs = [_LADDER, _MONITORED, {}, {"x": [1, 2.5, None, "é"]}]
+    code = (
+        "import json, sys\n"
+        "sys.modules['_sha256'] = None\n"
+        "from blowuplab import runio\n"
+        "docs = json.loads(sys.argv[1])\n"
+        "print(json.dumps([runio.config_hash(d) for d in docs]), '_hashlib' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(docs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    digests, hashlib_loaded = out.stdout.strip().rsplit(" ", 1)
+    assert json.loads(digests) == [config_hash(d) for d in docs]
+    assert hashlib_loaded == "True"

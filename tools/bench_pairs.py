@@ -53,13 +53,11 @@ TRACED = (
     "functionals.compute_snapshot.calls",
     "functionals.compute_snapshot.busy_s",
     "functionals.lemma31_ratio.busy_s",
-    "functionals.rules_built",
     "specfun.log_rho.calls",
     "specfun.log_rho.busy_s",
     "specfun.rho_log_derivative.calls",
     "specfun.rho_log_derivative.busy_s",
     "specfun.log_phi.points",
-    "specfun.rules_built",
 )
 
 
