@@ -27,11 +27,13 @@ from .functionals import (
 )
 from .lifespan import (
     FitReport,
+    SweepConfig,
     SweepResult,
     SweepRow,
     compare_to_theory,
     fit_exponential_law,
     fit_power_law,
+    measure_lifespan,
     sweep,
 )
 from .solver import (
@@ -41,7 +43,6 @@ from .solver import (
     State,
     build_initial_state,
     discrete_energy,
-    measure_lifespan,
     run,
     time_step,
 )

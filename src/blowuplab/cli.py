@@ -133,6 +133,7 @@ def _cmd_specfun_check(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = runio.config_from_dict(SimConfig, runio.load_json(args.config), "run config")
     out = runio.default_out_dir(args.out)
+    runio.artifact_dir(out, cfg)
     t0 = time.perf_counter()
     result = run(cfg)
     elapsed = time.perf_counter() - t0
@@ -158,6 +159,7 @@ def _cmd_verify(args) -> int:
     runio._require(runio._require(config, "profile", "manifest config"), "R", "manifest profile")
     cfg = runio.config_from_dict(SimConfig, config, "manifest config")
     series = runio.read_series_csv(run_dir / "monitors.csv")
+    dest = runio.writable(run_dir / "verify.json")
     ctx = specfun.TestFunctionContext(N=cfg.params.N, mu=cfg.params.mu, R=cfg.profile.R)
 
     ratios = [functionals.lemma31_ratio(ctx, t, 2.0) for t in np.linspace(0.0, 30.0, 31)]
@@ -194,7 +196,7 @@ def _cmd_verify(args) -> int:
         "coercivity": coer_payload,
         "residual_F": res_payload,
     }
-    with open(run_dir / "verify.json", "w") as fh:
+    with open(dest, "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(json.dumps(report, sort_keys=True, indent=2))
@@ -206,7 +208,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = runio.config_from_dict(SweepConfig, runio.load_json(args.config), "sweep config")
     out = runio.default_out_dir(args.out)
-    result = sweep(cfg.base, cfg.eps_list, refine=cfg.refine, jobs=args.jobs)
+    runio.artifact_dir(out, cfg)
+    result = sweep(cfg, jobs=args.jobs)
     fit_payload: dict = {"bound": {"kind": result.bound.kind, "exponent": result.bound.exponent}}
     unstable = sum(row.outcome == "unstable" for row in result.rows)
     if unstable:
@@ -238,7 +241,7 @@ def _cmd_report(args) -> int:
     out = runio.default_out_dir(args.out)
     if not out.is_dir():
         raise ConfigError(f"no such results directory: {out}")
-    dest = out / "summary.csv"
+    dest = runio.writable(out / "summary.csv")
     n = runio.merge_manifests(out, dest)
     print(f"{n} run(s) merged into {dest}", file=sys.stderr)
     return 0

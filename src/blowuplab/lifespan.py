@@ -1,8 +1,10 @@
-"""Epsilon sweeps, scaling-law fits, and comparison with theory.
+"""Lifespan measurement: sweep rows, epsilon sweeps, scaling-law fits, and
+comparison with theory.
 
-Measures numerical lifespans across a decreasing epsilon ladder, fits
-log T against log eps (power law) or eps^{-(p-1)} (critical exponential
-law), and issues a consistency verdict against the theoretical exponent.
+Measures a numerical lifespan as one row per epsilon, its blow-up time
+across grid refinements, over a decreasing epsilon ladder; fits log T
+against log eps (power law) or eps^{-(p-1)} (critical exponential law), and
+issues a consistency verdict against the theoretical exponent.
 """
 
 import functools
@@ -13,11 +15,67 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import solver
 from .errors import ConfigError, InsufficientDataError, KindMismatchError
 from .exponents import LifespanBound, lifespan_exponent
-from .solver import SimConfig, SweepRow, measure_lifespan
+from .solver import SimConfig
 
 DEFAULT_TAU = 0.25
+
+
+def richardson(levels) -> tuple[float, float, float]:
+    """(T, bar, order) of blow-up times at grid spacings h, h/2, h/4, ...
+
+    If the last two level differences d shrink without changing sign, T is
+    extrapolated with the order they show, log2(d[-2] / d[-1]); otherwise T
+    is the finest level and order NaN. bar is |d[-1]|, NaN for one level.
+    """
+    d = [b - a for a, b in zip(levels, levels[1:])]
+    bar = abs(d[-1]) if d else math.nan
+    if len(d) >= 2 and d[-1] * d[-2] > 0 and abs(d[-1]) < abs(d[-2]):
+        order = math.log2(d[-2] / d[-1])
+        return levels[-1] + d[-1] / (2.0**order - 1.0), bar, order
+    return levels[-1], bar, math.nan
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One epsilon's measured lifespan, as measure_lifespan returns it.
+
+    `levels` holds the blow-up time of each grid level that blew up, and
+    T_est and uncertainty are richardson(levels)'s T and bar. A row whose
+    outcome is not "blowup" has NaN T_est and uncertainty; it is a
+    measurement, not an error: a censored row says T > t_max.
+    """
+
+    eps: float
+    T_est: float
+    uncertainty: float
+    outcome: str  # "blowup" | "reached_tmax" | "unstable"
+    levels: tuple = ()
+
+
+def measure_lifespan(cfg: SimConfig, refine: int = 2) -> SweepRow:
+    """The sweep row of cfg: its blow-up time at nr, 2nr, ... (refine
+    levels), estimated by richardson.
+
+    Builds and so checks every level's config before the first run. At the
+    first level that does not blow up the row takes that level's outcome,
+    NaN T_est and uncertainty, and the levels before it. It measures any
+    config, one that no theorem covers included.
+    """
+    if refine < 1:
+        raise ConfigError(f"refine must be >= 1, got {refine}")
+    level_cfgs = [replace(cfg, nr=cfg.nr * 2**level) for level in range(refine)]
+    ts = []
+    for level_cfg in level_cfgs:
+        # looked up on the module: the benchmark tracer and the tests patch solver.run
+        result = solver.run(level_cfg, monitor=False)
+        if result.outcome != "blowup":
+            return SweepRow(cfg.eps, math.nan, math.nan, result.outcome, tuple(ts))
+        ts.append(result.t_blowup)
+    t_est, bar, _ = richardson(ts)
+    return SweepRow(cfg.eps, t_est, bar, "blowup", tuple(ts))
 
 
 @dataclass(frozen=True)
@@ -70,12 +128,9 @@ class Verdict:
     tau: float
 
 
-def sweep(
-    base: SimConfig, eps_list, refine: int = 2, jobs: int = 1
-) -> SweepResult:
-    """One measure_lifespan row per epsilon, largest epsilon first.
+def sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
+    """One measure_lifespan row per epsilon of cfg, largest epsilon first.
 
-    The ladder must pass SweepConfig's checks (ConfigError otherwise).
     The largest-epsilon row calibrates the constant in T ~ C eps^{-k}
     (k from the theoretical bound) if it blew up; the horizon for smaller
     epsilons is grown to at least 3x the predicted lifespan. Only eps and
@@ -83,11 +138,10 @@ def sweep(
     h = base.h / 2**l. A row that reached t_max or went unstable is kept
     with its outcome; the fits leave it out.
     """
-    eps_list = SweepConfig(base, tuple(map(float, eps_list)), refine).eps_list
-
+    base, eps_list = cfg.base, cfg.eps_list
     bound = lifespan_exponent(base.params)
 
-    measure = functools.partial(measure_lifespan, refine=refine)
+    measure = functools.partial(measure_lifespan, refine=cfg.refine)
     eps0 = eps_list[0]
     first = measure(replace(base, eps=eps0))
     rows = [first]

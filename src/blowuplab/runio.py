@@ -197,16 +197,33 @@ def default_out_dir(cli_value=None) -> Path:
     return out
 
 
+def artifact_dir(out_root, cfg) -> Path:
+    """out_root/<config hash>, the directory of cfg's artifacts; a path there
+    that is not a directory is a ConfigError, which the CLI asks for before
+    its run or sweep, so that no work is lost to it."""
+    path = Path(out_root) / config_hash(config_to_dict(cfg))
+    if path.exists() and not path.is_dir():
+        raise ConfigError(f"cannot write {path}: Not a directory")
+    return path
+
+
+def writable(path) -> Path:
+    """path, to be written as a file; a directory in its place is a ConfigError."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: Is a directory")
+    return path
+
+
 def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Path:
     """Write monitors.csv + manifest.json under out_root/<config hash>/."""
-    cfg_dict = config_to_dict(cfg)
-    run_dir = Path(out_root) / config_hash(cfg_dict)
+    run_dir = artifact_dir(out_root, cfg)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(run_dir / "monitors.csv", result.monitors, cfg.params)
     manifest = {
         "tool": TOOL_VERSION,
-        "config": cfg_dict,
-        "config_hash": config_hash(cfg_dict),
+        "config": config_to_dict(cfg),
+        "config_hash": run_dir.name,
         "outcome": result.outcome,
         "t_blowup": result.t_blowup,
         "reason": result.reason,
@@ -224,7 +241,7 @@ def write_sweep_artifacts(
     out_root: Path, cfg: SweepConfig, result: SweepResult, fit_payload: dict
 ) -> Path:
     """Write sweep.csv + fit.json under out_root/<config hash>/."""
-    sweep_dir = Path(out_root) / config_hash(config_to_dict(cfg))
+    sweep_dir = artifact_dir(out_root, cfg)
     sweep_dir.mkdir(parents=True, exist_ok=True)
     with open(sweep_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -2,7 +2,7 @@
 
 Solves u_tt - u_rr - (N-1)/r u_r + mu/(1+t) u_t = a|u_t|^p + b|u|^q on a
 uniform radial grid with small compactly supported data, adapting dt near
-blow-up and reporting a numerical lifespan validated by grid refinement.
+blow-up; `run` is one solve at one grid spacing.
 A state's RadialGrid owns the per-cell arrays that the step (stencil) and
 the monitor (snapshot weights, log phi) read; a regrowth builds a new grid.
 """
@@ -399,57 +399,3 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
         steps=state.step,
         amp0=amp0,
     )
-
-
-def richardson(levels) -> tuple[float, float, float]:
-    """(T, bar, order) of blow-up times at grid spacings h, h/2, h/4, ...
-
-    If the last two level differences d shrink without changing sign, T is
-    extrapolated with the order they show, log2(d[-2] / d[-1]); otherwise T
-    is the finest level and order NaN. bar is |d[-1]|, NaN for one level.
-    """
-    d = [b - a for a, b in zip(levels, levels[1:])]
-    bar = abs(d[-1]) if d else math.nan
-    if len(d) >= 2 and d[-1] * d[-2] > 0 and abs(d[-1]) < abs(d[-2]):
-        order = math.log2(d[-2] / d[-1])
-        return levels[-1] + d[-1] / (2.0**order - 1.0), bar, order
-    return levels[-1], bar, math.nan
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One epsilon's measured lifespan, as measure_lifespan returns it.
-
-    `levels` holds the blow-up time of each grid level that blew up, and
-    T_est and uncertainty are richardson(levels)'s T and bar. A row whose
-    outcome is not "blowup" has NaN T_est and uncertainty; it is a
-    measurement, not an error: a censored row says T > t_max.
-    """
-
-    eps: float
-    T_est: float
-    uncertainty: float
-    outcome: str  # "blowup" | "reached_tmax" | "unstable"
-    levels: tuple = ()
-
-
-def measure_lifespan(cfg: SimConfig, refine: int = 2) -> SweepRow:
-    """The sweep row of cfg: its blow-up time at nr, 2nr, ... (refine
-    levels), estimated by richardson.
-
-    Builds and so checks every level's config before the first run. At the
-    first level that does not blow up the row takes that level's outcome,
-    NaN T_est and uncertainty, and the levels before it. It measures any
-    config; sweep is where a config that no theorem covers is refused.
-    """
-    if refine < 1:
-        raise ConfigError(f"refine must be >= 1, got {refine}")
-    level_cfgs = [replace(cfg, nr=cfg.nr * 2**level) for level in range(refine)]
-    ts = []
-    for level_cfg in level_cfgs:
-        result = run(level_cfg, monitor=False)
-        if result.outcome != "blowup":
-            return SweepRow(cfg.eps, math.nan, math.nan, result.outcome, tuple(ts))
-        ts.append(result.t_blowup)
-    t_est, bar, _ = richardson(ts)
-    return SweepRow(cfg.eps, t_est, bar, "blowup", tuple(ts))

@@ -19,7 +19,7 @@ from blowuplab.functionals import (
     lemma31_ratio,
     residual_F,
 )
-from blowuplab.lifespan import compare_to_theory, fit_power_law, sweep
+from blowuplab.lifespan import SweepConfig, compare_to_theory, fit_power_law, sweep
 from blowuplab.solver import InitialProfile, SimConfig, run
 from blowuplab.specfun import TestFunctionContext, bessel_k, phi, rho
 
@@ -37,7 +37,7 @@ CRIT7_EPS = [2.4, 1.2, 0.6]
 @pytest.fixture(scope="module")
 def crit6_sweep():
     base = SimConfig(params=CRIT6_PARAMS, eps=0.4, L=12.0, nr=600, t_max=10.0)
-    return sweep(base, CRIT6_EPS, refine=2)
+    return sweep(SweepConfig(base, CRIT6_EPS, refine=2))
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def crit7_sweep():
     # growth ratios); grid convergence of T at this h is established by the
     # solver tests, and the doubled grid would push the runtime past budget.
     base = SimConfig(params=CRIT7_PARAMS, eps=2.4, L=21.0, nr=1050, t_max=20.0)
-    return sweep(base, CRIT7_EPS, refine=1)
+    return sweep(SweepConfig(base, CRIT7_EPS, refine=1))
 
 
 def oracle_bessel_k(nu, t):

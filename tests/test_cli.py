@@ -10,8 +10,10 @@ import warnings
 
 import pytest
 
-from blowuplab import cli
+from blowuplab import cli, functionals, runio
 from blowuplab.cli import main
+from blowuplab.lifespan import SweepConfig
+from blowuplab.solver import SimConfig
 
 RUN_CONFIG = {
     "params": {"N": 1, "mu": 0.5, "p": 2.0, "q": 2.0, "a": 1, "b": 0},
@@ -570,22 +572,70 @@ def test_report_manifest_that_is_a_directory_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: cannot read {path}: Is a directory\n"
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep", "report"])
-def test_out_path_that_is_a_file_exit_2_before_any_run(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, taken",
+    [
+        pytest.param("solve", "out", id="solve"),
+        pytest.param("sweep", "out", id="sweep"),
+        pytest.param("report", "out", id="report"),
+        # <out>/<config hash> a regular file, <out>/summary.csv a directory
+        pytest.param("solve", "artifact-dir", id="solve-artifact-dir"),
+        pytest.param("sweep", "artifact-dir", id="sweep-artifact-dir"),
+        pytest.param("report", "summary-csv", id="report-summary-csv"),
+    ],
+)
+def test_out_path_that_is_a_file_exit_2_before_any_run(
+    tmp_path, capsys, monkeypatch, command, taken
+):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(cli, "run", no_run)
     monkeypatch.setattr(cli, "sweep", no_run)
-    afile = tmp_path / "afile"
-    afile.write_text("kept\n")
+    monkeypatch.setattr(runio, "merge_manifests", no_run)
     doc = SWEEP_CONFIG if command == "sweep" else RUN_CONFIG
-    argv = [command, "--out", str(afile)]
+    out = tmp_path / "results"
+    if taken == "out":
+        afile = out
+        message = f"no such results directory: {afile}"
+    elif taken == "artifact-dir":
+        out.mkdir()
+        cfg = runio.config_from_dict(SweepConfig if command == "sweep" else SimConfig, doc, "c")
+        afile = out / runio.config_hash(runio.config_to_dict(cfg))
+        message = f"cannot write {afile}: Not a directory"
+    else:
+        (out / "summary.csv").mkdir(parents=True)
+        message = f"cannot write {out / 'summary.csv'}: Is a directory"
+    if taken != "summary-csv":
+        afile.write_text("kept\n")
+    argv = [command, "--out", str(out)]
     if command != "report":
         argv += ["--config", _write(tmp_path, "c.json", doc)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"config error: no such results directory: {afile}\n"
-    assert afile.read_text() == "kept\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    if taken != "summary-csv":
+        assert afile.read_text() == "kept\n"
+    else:
+        assert list((out / "summary.csv").iterdir()) == []
+
+
+def test_verify_report_path_that_is_a_directory_exit_2_before_any_quadrature(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "results"
+    main(["solve", "--config", _write(tmp_path, "run.json", RUN_CONFIG), "--out", str(out)])
+    capsys.readouterr()
+    run_dir = next(out.iterdir())
+    (run_dir / "verify.json").mkdir()
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(functionals, "lemma31_ratio", no_quadrature)
+    assert main(["verify", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {run_dir / 'verify.json'}: Is a directory\n"
+    assert list((run_dir / "verify.json").iterdir()) == []
 
 
 def test_cli_commands_import_no_openssl_and_no_numpy_polynomial(tmp_path):

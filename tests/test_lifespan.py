@@ -19,6 +19,7 @@ from blowuplab.errors import (
 )
 from blowuplab.exponents import LifespanBound, ModelParams
 from blowuplab.lifespan import (
+    SweepConfig,
     SweepResult,
     SweepRow,
     compare_to_theory,
@@ -124,14 +125,14 @@ class TestVerdict:
 class TestSweep:
     def test_ladder_validation(self):
         with pytest.raises(ConfigError):
-            sweep(BASE, [0.4, 0.2])
+            SweepConfig(BASE, (0.4, 0.2))
         with pytest.raises(ConfigError):
-            sweep(BASE, [0.4, 0.2, -0.1])
+            SweepConfig(BASE, (0.4, 0.2, -0.1))
         with pytest.raises(ConfigError):
-            sweep(BASE, [0.2, 0.4, 0.1])
+            SweepConfig(BASE, (0.2, 0.4, 0.1))
 
     def test_end_to_end_small_ladder(self):
-        result = sweep(BASE, [0.4, 0.3, 0.2], refine=1)
+        result = sweep(SweepConfig(BASE, (0.4, 0.3, 0.2), refine=1))
         assert [r.eps for r in result.rows] == [0.4, 0.3, 0.2]
         assert all(r.outcome == "blowup" for r in result.rows)
         ts = [r.T_est for r in result.rows]
@@ -144,7 +145,7 @@ class TestSweep:
         # eps small enough that the default t_max cannot contain the run:
         # the sweep must extend t_max from the calibrated prediction instead
         # of returning a censored row.
-        result = sweep(BASE, [0.4, 0.3, 0.15], refine=1)
+        result = sweep(SweepConfig(BASE, (0.4, 0.3, 0.15), refine=1))
         row = result.rows[-1]
         assert row.outcome == "blowup"
         assert row.T_est > BASE.t_max
@@ -173,7 +174,7 @@ class TestSweep:
             return fake(cfg, monitor)
 
         monkeypatch.setattr(solver, "run", recorded)
-        sweep(base, eps_list, refine=refine)
+        sweep(SweepConfig(base, tuple(eps_list), refine=refine))
         assert [cfg.eps for cfg in seen] == [e for e in eps_list for _ in range(refine)]
         for i, cfg in enumerate(seen):
             assert cfg.h == base.h / 2 ** (i % refine), (cfg.eps, i % refine)
@@ -183,15 +184,15 @@ class TestSweep:
         # so no bound is stated, and the rows are measured and fitted all the same
         params = ModelParams(N=3, mu=1.0, p=1.9, q=2.2, a=1, b=1)
         base = SimConfig(params=params, eps=2.4, L=21.0, nr=1050, t_max=20.0)
-        result = sweep(base, [2.4, 2.0, 1.7], refine=1)
+        result = sweep(SweepConfig(base, (2.4, 2.0, 1.7), refine=1))
         assert result.bound.kind == "none"
         assert [row.outcome for row in result.rows] == ["blowup"] * 3
         assert result.rows[0].T_est == pytest.approx(2.511, abs=1e-3)
         assert fit_power_law(result).slope == pytest.approx(-2.805, abs=1e-3)
 
     def test_parallel_matches_serial(self):
-        serial = sweep(BASE, [0.4, 0.3, 0.2], refine=1, jobs=1)
-        parallel = sweep(BASE, [0.4, 0.3, 0.2], refine=1, jobs=3)
+        serial = sweep(SweepConfig(BASE, (0.4, 0.3, 0.2), refine=1), jobs=1)
+        parallel = sweep(SweepConfig(BASE, (0.4, 0.3, 0.2), refine=1), jobs=3)
         for a, b in zip(serial.rows, parallel.rows):
             assert (a.eps, a.T_est, a.outcome) == (b.eps, b.T_est, b.outcome)
             assert np.isnan(a.uncertainty) == np.isnan(b.uncertainty)
@@ -216,7 +217,7 @@ class TestSweep:
 
         fake_runs()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandIn)
-        result = sweep(BASE, [0.4, 0.3, 0.2], refine=1, jobs=10**6)
+        result = sweep(SweepConfig(BASE, (0.4, 0.3, 0.2), refine=1), jobs=10**6)
         workers = min(2, os.cpu_count() or 1)  # two tail rows
         assert asked == ([workers] if workers > 1 else [])
         assert [row.outcome for row in result.rows] == ["blowup"] * 3
@@ -235,7 +236,7 @@ def test_cli_import_leaves_out_the_process_pool():
 class TestOutcomes:
     def test_unstable_run_is_recorded_as_unstable(self, fake_runs):
         fake_runs(unstable={0.2})
-        result = sweep(BASE, [0.4, 0.3, 0.2, 0.1], refine=1)
+        result = sweep(SweepConfig(BASE, (0.4, 0.3, 0.2, 0.1), refine=1))
         assert [r.outcome for r in result.rows] == ["blowup", "blowup", "unstable", "blowup"]
         assert math.isnan(result.rows[2].T_est)
 

@@ -13,6 +13,7 @@ from blowuplab import kernels, solver
 from blowuplab.errors import ConfigError
 from blowuplab.exponents import ModelParams, lifespan_exponent
 from blowuplab.functionals import MONITOR_COLUMNS, monitor_series, residual_F
+from blowuplab.lifespan import measure_lifespan, richardson
 from blowuplab.solver import (
     InitialProfile,
     RadialGrid,
@@ -20,9 +21,7 @@ from blowuplab.solver import (
     State,
     build_initial_state,
     discrete_energy,
-    measure_lifespan,
     propose_dt,
-    richardson,
     run,
     time_step,
 )
