@@ -133,7 +133,7 @@ def _cmd_specfun_check(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = runio.config_from_dict(SimConfig, runio.load_json(args.config), "run config")
     out = runio.default_out_dir(args.out)
-    runio.artifact_dir(out, cfg)
+    runio.artifact_dir(out, cfg, runio.RUN_FILES)
     t0 = time.perf_counter()
     result = run(cfg)
     elapsed = time.perf_counter() - t0
@@ -208,7 +208,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = runio.config_from_dict(SweepConfig, runio.load_json(args.config), "sweep config")
     out = runio.default_out_dir(args.out)
-    runio.artifact_dir(out, cfg)
+    runio.artifact_dir(out, cfg, runio.SWEEP_FILES)
     result = sweep(cfg, jobs=args.jobs)
     fit_payload: dict = {"bound": {"kind": result.bound.kind, "exponent": result.bound.exponent}}
     unstable = sum(row.outcome == "unstable" for row in result.rows)

@@ -30,6 +30,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
+        # the sphere area |S^{N-1}| divides by Gamma(N/2), past a float's range from N = 344
+        if self.N >= 344:
+            raise ConfigError(f"N must be <= 343, got {self.N}")
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ConfigError(f"mu must be finite and >= 0, got {self.mu}")
         if not all(math.isfinite(power) and power > 1 for power in (self.p, self.q)):

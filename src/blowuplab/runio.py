@@ -11,12 +11,10 @@ required key; an absent optional key takes the field's default. An int
 field is read by `integer`, a float field by `number`, a tuple field as a
 non-empty list of numbers, a nested config dataclass as a nested object,
 and a str is passed on for its dataclass to check. Keys that are not
-fields are ignored, and a field marked `metadata={"schema": False}` (the
-`forcing` test hook) is neither read nor written. The modules defining
-those dataclasses do not postpone annotations, so each field's type is
-the class itself. `config_from_dict` reads the schema and
-`config_to_dict` writes it, so a new config field is one line in its
-dataclass.
+fields are ignored. The modules defining those dataclasses do not
+postpone annotations, so each field's type is the class itself.
+`config_from_dict` reads the schema and `dataclasses.asdict` writes it, so
+a new config field is one line in its dataclass.
 """
 
 from __future__ import annotations
@@ -45,6 +43,10 @@ TOOL_VERSION = "blowuplab 0.1.0"
 
 # monitors.csv: the monitor schema plus the relative F'' identity residual
 CSV_COLUMNS = MONITOR_COLUMNS + ("residual",)
+
+# The files a run's and a sweep's writer put in its artifact directory.
+RUN_FILES = ("monitors.csv", "manifest.json")
+SWEEP_FILES = ("sweep.csv", "fit.json")
 
 
 def canonical_json(obj) -> str:
@@ -90,10 +92,6 @@ def number(value, name: str) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-def _schema_fields(cls) -> list:
-    return [f for f in dataclasses.fields(cls) if f.metadata.get("schema", True)]
-
-
 def _numbers(value, name: str) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
@@ -114,21 +112,12 @@ def config_from_dict(cls, doc, where: str):
     """The config dataclass cls read from the JSON object doc; `where` names doc in errors."""
     doc = _object(doc, where)
     kwargs = {}
-    for f in _schema_fields(cls):
+    for f in dataclasses.fields(cls):
         if f.name in doc:
             kwargs[f.name] = _field_value(f.type, doc[f.name], f.name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"missing key {f.name!r} in {where}")
     return cls(**kwargs)
-
-
-def config_to_dict(cfg) -> dict:
-    """The JSON object of a config dataclass: one key per schema field."""
-    out = {}
-    for f in _schema_fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = config_to_dict(value) if dataclasses.is_dataclass(value) else value
-    return out
 
 
 def _open(path, **kwargs):
@@ -197,13 +186,16 @@ def default_out_dir(cli_value=None) -> Path:
     return out
 
 
-def artifact_dir(out_root, cfg) -> Path:
-    """out_root/<config hash>, the directory of cfg's artifacts; a path there
-    that is not a directory is a ConfigError, which the CLI asks for before
-    its run or sweep, so that no work is lost to it."""
-    path = Path(out_root) / config_hash(config_to_dict(cfg))
+def artifact_dir(out_root, cfg, files) -> Path:
+    """out_root/<config hash>, the directory of cfg's artifacts, the files
+    named in `files`. A path there that is not a directory, or a directory
+    in place of one of the files, is a ConfigError, which the CLI asks for
+    before its run or sweep, so that no work is lost to it."""
+    path = Path(out_root) / config_hash(dataclasses.asdict(cfg))
     if path.exists() and not path.is_dir():
         raise ConfigError(f"cannot write {path}: Not a directory")
+    for name in files:
+        writable(path / name)
     return path
 
 
@@ -216,13 +208,14 @@ def writable(path) -> Path:
 
 
 def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Path:
-    """Write monitors.csv + manifest.json under out_root/<config hash>/."""
-    run_dir = artifact_dir(out_root, cfg)
+    """Write RUN_FILES, monitors.csv + manifest.json, under out_root/<config hash>/."""
+    run_dir = artifact_dir(out_root, cfg, RUN_FILES)
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_series_csv(run_dir / "monitors.csv", result.monitors, cfg.params)
+    monitors_path, manifest_path = (run_dir / name for name in RUN_FILES)
+    write_series_csv(monitors_path, result.monitors, cfg.params)
     manifest = {
         "tool": TOOL_VERSION,
-        "config": config_to_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "config_hash": run_dir.name,
         "outcome": result.outcome,
         "t_blowup": result.t_blowup,
@@ -231,7 +224,7 @@ def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Pa
         "steps": result.steps,
         "amp0": result.amp0,
     }
-    with open(run_dir / "manifest.json", "w") as fh:
+    with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return run_dir
@@ -240,15 +233,16 @@ def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Pa
 def write_sweep_artifacts(
     out_root: Path, cfg: SweepConfig, result: SweepResult, fit_payload: dict
 ) -> Path:
-    """Write sweep.csv + fit.json under out_root/<config hash>/."""
-    sweep_dir = artifact_dir(out_root, cfg)
+    """Write SWEEP_FILES, sweep.csv + fit.json, under out_root/<config hash>/."""
+    sweep_dir = artifact_dir(out_root, cfg, SWEEP_FILES)
     sweep_dir.mkdir(parents=True, exist_ok=True)
-    with open(sweep_dir / "sweep.csv", "w", newline="") as fh:
+    table_path, fit_path = (sweep_dir / name for name in SWEEP_FILES)
+    with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps", "T_est", "uncertainty", "outcome"])
         for row in result.rows:
             writer.writerow([_fmt(row.eps), _fmt(row.T_est), _fmt(row.uncertainty), row.outcome])
-    with open(sweep_dir / "fit.json", "w") as fh:
+    with open(fit_path, "w") as fh:
         json.dump(fit_payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return sweep_dir

@@ -10,7 +10,7 @@ the monitor (snapshot weights, log phi) read; a regrowth builds a new grid.
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,8 +56,8 @@ class SimConfig:
     holds the cells its support r <= t + R has reached, however far past L,
     so its cost follows h and t + R alone.
 
-    Every field but `forcing` is a key of the run-config JSON (see runio);
-    a field with no default is a required key.
+    Every field is a key of the run-config JSON (see runio); a field with
+    no default is a required key.
     """
 
     params: ModelParams
@@ -72,12 +72,6 @@ class SimConfig:
     # Monitor sampling interval in steps; the F'' identity check differences
     # the monitor grid, so its accuracy scales with (stride * dt)^2.
     monitor_stride: int = 10
-    # Test hook for manufactured solutions; not part of the config schema.
-    # It is evaluated on the support window only, so it must vanish outside
-    # r <= t + R.
-    forcing: Optional[Callable[[np.ndarray, float], np.ndarray]] = field(
-        default=None, metadata={"schema": False}
-    )
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps) and self.eps >= 0):
@@ -282,12 +276,14 @@ def propose_dt(state: State, cfg: SimConfig) -> float:
     return dt
 
 
-def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State:
+def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None, forcing=None) -> State:
     """Advance one step; the first step is a second-order Taylor start.
 
     dt defaults to propose_dt(state, cfg); a caller that has already
     proposed it passes it in. A step reads the state's sources on cells
-    0..hi, which _cover makes sure its window covers.
+    0..hi, which _cover makes sure its window covers. forcing(r, t), the
+    manufactured-solution source, is added to the right-hand side; it is
+    evaluated on those cells only, so it must vanish outside r <= t + R.
     """
     params = cfg.params
     a, b = float(params.a), float(params.b)
@@ -296,9 +292,8 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None) -> State
     t_next = state.t + dt
     hi = _active_hi(cfg, t_next)
     state = _cover(state, hi)
-    forcing = None
-    if cfg.forcing is not None:
-        forcing = np.asarray(cfg.forcing(np.arange(hi + 1) * cfg.h, state.t), dtype=float)
+    if forcing is not None:
+        forcing = np.asarray(forcing(np.arange(hi + 1) * cfg.h, state.t), dtype=float)
 
     if state.step == 0:
         w = slice(0, hi + 1)
@@ -357,8 +352,9 @@ def discrete_energy(state: State, cfg: SimConfig) -> float:
     return surface_area(cfg.params.N) * float(np.dot(state.grid.weights, dens))
 
 
-def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
-    """Iterate time_step until blow-up, t >= t_max, or instability."""
+def run(cfg: SimConfig, monitor: bool = True, forcing=None) -> RunResult:
+    """Iterate time_step until blow-up, t >= t_max, or instability; forcing
+    is passed to every step."""
     ctx = TestFunctionContext(N=cfg.params.N, mu=cfg.params.mu, R=cfg.profile.R)
     snaps = []
 
@@ -377,7 +373,7 @@ def run(cfg: SimConfig, monitor: bool = True) -> RunResult:
             outcome, t_blow = "blowup", state.t
             reason = f"dt={dt:.3e} fell below dt_min"
             break
-        state = time_step(state, cfg, dt)
+        state = time_step(state, cfg, dt, forcing)
         if not state.finite():
             outcome, reason = "unstable", "non-finite values in grid state"
             break

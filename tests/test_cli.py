@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, artifact layout, and reproducibility."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -142,6 +143,23 @@ class TestSolve:
         other = dict(RUN_CONFIG, eps=0.35)
         main(["solve", "--config", _write(tmp_path, "b.json", other), "--out", str(out)])
         assert len(list(out.iterdir())) == 2
+
+    def test_blowuplab_out_is_the_default_and_out_wins(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("BLOWUPLAB_OUT", "env")
+        docs = (RUN_CONFIG, dict(RUN_CONFIG, eps=0.35))
+        names = [
+            runio.config_hash(dataclasses.asdict(runio.config_from_dict(SimConfig, doc, "c")))
+            for doc in docs
+        ]
+        solve = ["--quiet", "solve", "--config"]
+        assert main(solve + [_write(tmp_path, "a.json", docs[0])]) == 0
+        run_files = sorted(p.name for p in (tmp_path / "env" / names[0]).iterdir())
+        assert run_files == sorted(runio.RUN_FILES)
+        assert main(solve + [_write(tmp_path, "b.json", docs[1]), "--out", "flag"]) == 0
+        assert [p.name for p in (tmp_path / "flag").iterdir()] == [names[1]]
+        assert [p.name for p in (tmp_path / "env").iterdir()] == [names[0]]
+        assert not (tmp_path / "results").exists()
 
     def test_bad_config_exit_2(self, tmp_path):
         bad = dict(RUN_CONFIG, nr=10)  # below the 64-cell minimum
@@ -466,6 +484,8 @@ class TestSweep:
         ("sweep", dict(SWEEP_CONFIG, base=dict(RUN_CONFIG, dt_min=0.04), refine=2)),
         # a ladder needs 3 epsilons for a fit
         ("sweep", dict(SWEEP_CONFIG, eps_list=[0.4, 0.3])),
+        # the sphere area's Gamma(N/2) overflows from N = 344
+        ("solve", dict(RUN_CONFIG, params=dict(RUN_CONFIG["params"], N=344))),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):
@@ -581,7 +601,12 @@ def test_report_manifest_that_is_a_directory_exit_2(tmp_path, capsys):
         # <out>/<config hash> a regular file, <out>/summary.csv a directory
         pytest.param("solve", "artifact-dir", id="solve-artifact-dir"),
         pytest.param("sweep", "artifact-dir", id="sweep-artifact-dir"),
-        pytest.param("report", "summary-csv", id="report-summary-csv"),
+        pytest.param("report", "summary.csv", id="report-summary-csv"),
+        # a directory in place of a file in <out>/<config hash>
+        pytest.param("solve", "manifest.json", id="solve-manifest"),
+        pytest.param("solve", "monitors.csv", id="solve-monitors"),
+        pytest.param("sweep", "sweep.csv", id="sweep-sweep-csv"),
+        pytest.param("sweep", "fit.json", id="sweep-fit-json"),
     ],
 )
 def test_out_path_that_is_a_file_exit_2_before_any_run(
@@ -595,28 +620,31 @@ def test_out_path_that_is_a_file_exit_2_before_any_run(
     monkeypatch.setattr(runio, "merge_manifests", no_run)
     doc = SWEEP_CONFIG if command == "sweep" else RUN_CONFIG
     out = tmp_path / "results"
+    cfg = runio.config_from_dict(SweepConfig if command == "sweep" else SimConfig, doc, "c")
+    run_dir = out / runio.config_hash(dataclasses.asdict(cfg))
     if taken == "out":
         afile = out
         message = f"no such results directory: {afile}"
     elif taken == "artifact-dir":
         out.mkdir()
-        cfg = runio.config_from_dict(SweepConfig if command == "sweep" else SimConfig, doc, "c")
-        afile = out / runio.config_hash(runio.config_to_dict(cfg))
+        afile = run_dir
         message = f"cannot write {afile}: Not a directory"
     else:
-        (out / "summary.csv").mkdir(parents=True)
-        message = f"cannot write {out / 'summary.csv'}: Is a directory"
-    if taken != "summary-csv":
+        adir = out / taken if command == "report" else run_dir / taken
+        adir.mkdir(parents=True)
+        message = f"cannot write {adir}: Is a directory"
+    kept = taken in ("out", "artifact-dir")
+    if kept:
         afile.write_text("kept\n")
     argv = [command, "--out", str(out)]
     if command != "report":
         argv += ["--config", _write(tmp_path, "c.json", doc)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    if taken != "summary-csv":
+    if kept:
         assert afile.read_text() == "kept\n"
     else:
-        assert list((out / "summary.csv").iterdir()) == []
+        assert list(adir.iterdir()) == []
 
 
 def test_verify_report_path_that_is_a_directory_exit_2_before_any_quadrature(

@@ -30,9 +30,9 @@ from blowuplab.specfun import TestFunctionContext, surface_area
 LINEAR = ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=0, b=0)
 
 
-def _march(cfg, state, t_end):
+def _march(cfg, state, t_end, forcing=None):
     while state.t < t_end:
-        state = time_step(state, cfg)
+        state = time_step(state, cfg, forcing=forcing)
     return state
 
 
@@ -182,14 +182,12 @@ class TestSupportWindow:
         # both runs must agree bit for bit at equal h, forced or not.
         radii = []
 
-        def forcing(r, t):
+        def source(r, t):
             radii.append(r.size)
             return math.exp(-t) * np.maximum(1.0 - r * r, 0.0) ** 6
 
-        big = SimConfig(
-            params=params, eps=eps, L=400.0, nr=8000, t_max=6.0,
-            forcing=forcing if forced else None,
-        )
+        forcing = source if forced else None
+        big = SimConfig(params=params, eps=eps, L=400.0, nr=8000, t_max=6.0)
         cfg = replace(big, L=nr * big.h, nr=nr)
         assume(cfg.h == big.h)
         a, b = build_initial_state(cfg), build_initial_state(big)
@@ -197,7 +195,7 @@ class TestSupportWindow:
         for _ in range(steps):
             if a.t >= cfg.t_max or not np.max(np.abs(a.u)) < 1e6 * eps:
                 break
-            a, b = time_step(a, cfg), time_step(b, big)
+            a, b = time_step(a, cfg, forcing=forcing), time_step(b, big, forcing=forcing)
             lengths.add(a.u.shape[0])
             assert a.t == b.t
             if forced:  # each run's step made one call, on the window's cells
@@ -212,7 +210,7 @@ class TestSupportWindow:
             self._check_window(b, big)
         # geometric growth: each regrowth at least doubles the length
         assert len(lengths) <= math.log2(max(lengths) / min(lengths)) + 1
-        ra, rb = run(cfg, monitor=False), run(big, monitor=False)
+        ra, rb = run(cfg, False, forcing), run(big, False, forcing)
         assert (ra.outcome, ra.t_blowup, ra.steps) == (rb.outcome, rb.t_blowup, rb.steps)
 
     def test_monitored_log_phi_follows_support(self, monkeypatch):
@@ -518,7 +516,7 @@ def _mms_error(N, nr, t_end=1.0, mu=0.5, a=0, b=0, A=1.0):
     # u* is supported in r < R, so the support window r <= t + R covers it
     cfg = SimConfig(
         params=params, eps=1.0, profile=InitialProfile(R=R),
-        L=L, nr=nr, t_max=t_end + 1.0, forcing=forcing,
+        L=L, nr=nr, t_max=t_end + 1.0,
     )
     n = solver._active_hi(cfg, 0.0) + 2
     u0 = exact(np.arange(n) * cfg.h, 0.0)
@@ -526,7 +524,7 @@ def _mms_error(N, nr, t_end=1.0, mu=0.5, a=0, b=0, A=1.0):
         t=0.0, dt_prev=0.0, u=u0, u_prev=None, v=-u0, step=0,
         grid=RadialGrid(N, cfg.h, n), window=n,
     )
-    state = _march(cfg, state, t_end)
+    state = _march(cfg, state, t_end, forcing)
     err = state.u - exact(np.arange(state.u.shape[0]) * cfg.h, state.t)
     return math.sqrt(cfg.h * float(np.sum(err**2)))
 
@@ -589,7 +587,9 @@ class TestRun:
         assert res.outcome == "blowup"
         assert len(calls) <= res.steps + 1
         # the dt run hands to time_step is the one time_step would propose
-        monkeypatch.setattr(solver, "time_step", lambda s, c, dt=None: time_step(s, c))
+        monkeypatch.setattr(
+            solver, "time_step", lambda s, c, dt=None, forcing=None: time_step(s, c)
+        )
         own = run(cfg)
         assert (res.t_blowup, res.steps) == (own.t_blowup, own.steps)
         for name in MONITOR_COLUMNS:
