@@ -243,7 +243,8 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"no such results directory: {out}")
     dest = runio.writable(out / "summary.csv")
     n = runio.merge_manifests(out, dest)
-    print(f"{n} run(s) merged into {dest}", file=sys.stderr)
+    if not args.quiet:
+        print(f"{n} run(s) merged into {dest}", file=sys.stderr)
     return 0
 
 

@@ -115,7 +115,7 @@ def classify(params: ModelParams) -> RegionClassification:
         raise ConfigError("at least one nonlinearity must be active to classify")
     d = params.N + params.mu
     if d <= 1:
-        raise DomainError(f"N + mu must exceed 1 for the exponents, got {d}")
+        raise ConfigError(f"N + mu must exceed 1 for the exponents, got {d}")
     p_g = glassey_exponent(d)
     q_s = strauss_exponent(d)
     if params.a == 1 and params.p <= p_g * (1.0 + CRITICAL_REL_TOL):

@@ -33,13 +33,14 @@ try:  # CPython's own SHA-256; hashlib would map OpenSSL's libcrypto (3.5 MB) fo
 except ImportError:
     from hashlib import sha256
 
+from . import __version__
 from .errors import ConfigError, InsufficientDataError
 from .exponents import ModelParams
 from .functionals import MONITOR_COLUMNS, MonitorSeries, residual_F
 from .lifespan import SweepConfig, SweepResult
 from .solver import RunResult, SimConfig
 
-TOOL_VERSION = "blowuplab 0.1.0"
+TOOL_VERSION = f"blowuplab {__version__}"
 
 # monitors.csv: the monitor schema plus the relative F'' identity residual
 CSV_COLUMNS = MONITOR_COLUMNS + ("residual",)
@@ -175,12 +176,12 @@ def read_series_csv(path) -> MonitorSeries:
 
 
 def default_out_dir(cli_value=None) -> Path:
-    """The results directory: --out, else $BLOWUPLAB_OUT, else ./results.
+    """The results directory: --out, else a non-empty $BLOWUPLAB_OUT, else ./results.
 
     A path that exists and is not a directory is a ConfigError; `solve` and
     `sweep` ask before their first run, so no run's work is lost to it.
     """
-    out = Path(cli_value or os.environ.get("BLOWUPLAB_OUT", "results"))
+    out = Path(cli_value or os.environ.get("BLOWUPLAB_OUT") or "results")
     if out.exists() and not out.is_dir():
         raise ConfigError(f"no such results directory: {out}")
     return out

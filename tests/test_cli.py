@@ -160,6 +160,10 @@ class TestSolve:
         assert [p.name for p in (tmp_path / "flag").iterdir()] == [names[1]]
         assert [p.name for p in (tmp_path / "env").iterdir()] == [names[0]]
         assert not (tmp_path / "results").exists()
+        # a set but empty variable is no directory: the default ./results holds
+        monkeypatch.setenv("BLOWUPLAB_OUT", "")
+        assert main(solve + [str(tmp_path / "b.json")]) == 0
+        assert [p.name for p in (tmp_path / "results").iterdir()] == [names[1]]
 
     def test_bad_config_exit_2(self, tmp_path):
         bad = dict(RUN_CONFIG, nr=10)  # below the 64-cell minimum
@@ -486,6 +490,12 @@ class TestSweep:
         ("sweep", dict(SWEEP_CONFIG, eps_list=[0.4, 0.3])),
         # the sphere area's Gamma(N/2) overflows from N = 344
         ("solve", dict(RUN_CONFIG, params=dict(RUN_CONFIG["params"], N=344))),
+        # the critical exponents need N + mu > 1
+        ("classify", dict(RUN_CONFIG["params"], mu=0.0)),
+        (
+            "sweep",
+            dict(SWEEP_CONFIG, base=dict(RUN_CONFIG, params=dict(RUN_CONFIG["params"], mu=0.0))),
+        ),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):
@@ -530,10 +540,14 @@ def test_report_merges_runs(tmp_path, capsys):
     out = tmp_path / "results"
     main(["solve", "--config", _write(tmp_path, "a.json", RUN_CONFIG), "--out", str(out)])
     main(["solve", "--config", _write(tmp_path, "b.json", dict(RUN_CONFIG, eps=0.3)), "--out", str(out)])
+    capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == f"2 run(s) merged into {out / 'summary.csv'}\n"
     lines = (out / "summary.csv").read_text().splitlines()
     assert lines[0].startswith("hash,N,mu,p,q,a,b,eps,nr,outcome")
     assert len(lines) == 3
+    assert main(["--quiet", "report", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_report_missing_out_dir_exit_2(tmp_path, capsys):

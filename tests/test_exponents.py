@@ -1,6 +1,10 @@
 """Critical exponents, region classification, and lifespan bounds."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -150,6 +154,9 @@ class TestClassify:
     def test_linear_rejected(self):
         with pytest.raises(ConfigError):
             classify(ModelParams(N=1, mu=0.5, p=2.0, q=2.0, a=0, b=0))
+        # N + mu = 1: the critical exponents do not exist
+        with pytest.raises(ConfigError):
+            classify(ModelParams(N=1, mu=0.0, p=2.0, q=2.0, a=1, b=0))
 
 
 class TestLifespanExponent:
@@ -215,3 +222,23 @@ def test_thresholds_payload():
     assert set(thr) == {"p_G", "q_S", "lambda", "mu_star", "sigma"}
     assert thr["p_G"] == pytest.approx(1.8)
     assert thr["lambda"] == pytest.approx(3.3)
+
+
+def test_exponents_import_without_the_solver_or_numpy():
+    # each name is imported from its own module; the package re-exports nothing
+    code = (
+        "import json, sys\n"
+        "ours = lambda: sorted(m for m in sys.modules if m.startswith('blowuplab'))\n"
+        "import blowuplab\n"
+        "bare = ours()\n"
+        "import blowuplab.exponents\n"
+        "print(json.dumps([bare, ours(), 'numpy' in sys.modules]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    bare, loaded, numpy_loaded = json.loads(out.stdout)
+    assert bare == ["blowuplab"]
+    assert loaded == ["blowuplab", "blowuplab.errors", "blowuplab.exponents"]
+    assert not numpy_loaded
