@@ -176,25 +176,40 @@ def _blowup_rows(result: SweepResult):
         dropped = sum(r.outcome == outcome for r in result.rows)
         if dropped:
             warnings.warn(f"{dropped} {what} excluded from the fit", stacklevel=3)
+    for r in rows:
+        # richardson can extrapolate a blow-up row past zero; log T must stay finite
+        if not 0 < r.T_est < math.inf:
+            raise InsufficientDataError(
+                f"blow-up row eps={r.eps!r} has T_est={r.T_est!r}, not a positive finite time"
+            )
     if len(rows) < 3:
         raise InsufficientDataError(f"need >= 3 blow-up rows, got {len(rows)}")
     return rows
 
 
-def _linfit(x: np.ndarray, y: np.ndarray):
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+def _linfit(x: list, y: list):
+    """(slope, intercept, r^2) of the least-squares line through (x, y).
+
+    Closed form about the means, each sum math.fsum's exactly rounded one;
+    no LAPACK solve is made.
+    """
+    n = len(x)
+    x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
+    dx = [xi - x_mean for xi in x]
+    dy = [yi - y_mean for yi in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    intercept = y_mean - slope * x_mean
+    ss_res = math.fsum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
+    ss_tot = math.fsum(b * b for b in dy)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    return slope, intercept, r2
 
 
 def fit_power_law(result: SweepResult) -> FitReport:
     """Least squares on (log eps, log T); expected slope ~ -k."""
     rows = _blowup_rows(result)
-    x = np.log([r.eps for r in rows])
-    y = np.log([r.T_est for r in rows])
+    x = np.log([r.eps for r in rows]).tolist()
+    y = np.log([r.T_est for r in rows]).tolist()
     slope, intercept, r2 = _linfit(x, y)
     k = result.bound.exponent if result.bound.kind == "algebraic" else None
     dev = abs(slope + k) / k if k else None
@@ -204,8 +219,8 @@ def fit_power_law(result: SweepResult) -> FitReport:
 def fit_exponential_law(result: SweepResult, p: float) -> FitReport:
     """Least squares on (eps^{-(p-1)}, log T); slope estimates the constant C."""
     rows = _blowup_rows(result)
-    x = np.array([r.eps ** -(p - 1.0) for r in rows])
-    y = np.log([r.T_est for r in rows])
+    x = [r.eps ** -(p - 1.0) for r in rows]
+    y = np.log([r.T_est for r in rows]).tolist()
     slope, intercept, r2 = _linfit(x, y)
     rate = result.bound.exponent if result.bound.kind == "exponential" else None
     return FitReport("exponential", slope, intercept, r2, rate, None, len(rows))

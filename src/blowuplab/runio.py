@@ -70,25 +70,29 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _is_number(value) -> bool:
+    """Whether value is a JSON number: an int or a float, not a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def integer(value, name: str) -> int:
-    """value as an int; a boolean or a number with a fractional part is rejected."""
+    """value as an int; a non-number or a number with a fractional part is rejected."""
     try:
-        as_int = int(value)
-        if not isinstance(value, bool) and (as_int == value or as_int == float(value)):
-            return as_int
-    except (TypeError, ValueError, OverflowError):
+        if _is_number(value) and int(value) == value:
+            return int(value)
+    except (ValueError, OverflowError):  # int() of a NaN or an infinity
         pass
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def number(value, name: str) -> float:
-    """value as a float; a missing, boolean or non-numeric value is a ConfigError naming it."""
+    """value as a float; a missing value or a non-number is a ConfigError naming it."""
     if value is None:
         raise ConfigError(f"{name} has no value")
     try:
-        if not isinstance(value, bool):
+        if _is_number(value):
             return float(value)
-    except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
+    except OverflowError:  # an int past the float range
         pass
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
@@ -171,7 +175,13 @@ def read_series_csv(path) -> MonitorSeries:
     except (IndexError, ValueError):
         for i, row in enumerate(rows, start=1):  # name the first bad cell
             for name, j in zip(MONITOR_COLUMNS, index):
-                number(row[j] if j < len(row) else None, f"{path} row {i} column {name!r}")
+                where = f"{path} row {i} column {name!r}"
+                if j >= len(row):
+                    raise ConfigError(f"{where} has no value")
+                try:
+                    float(row[j])
+                except ValueError:
+                    raise ConfigError(f"{where} must be a number, got {row[j]!r}") from None
         raise
 
 

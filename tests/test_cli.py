@@ -11,9 +11,9 @@ import warnings
 
 import pytest
 
-from blowuplab import cli, functionals, runio
+from blowuplab import cli, functionals, lifespan, runio
 from blowuplab.cli import main
-from blowuplab.lifespan import SweepConfig
+from blowuplab.lifespan import SweepConfig, SweepRow
 from blowuplab.solver import SimConfig
 
 RUN_CONFIG = {
@@ -368,6 +368,25 @@ class TestSweep:
         assert fit["fit"]["slope"] == pytest.approx(slope, abs=1e-3)
         assert "verdict" not in fit
 
+    def test_non_positive_lifespan_row_is_a_fit_error_not_nan(self, tmp_path, monkeypatch):
+        # richardson([10.0, 5.0, 1.0]) = -15.0: a blow-up row the fit cannot take a log of
+        times = {0.4: 2.0, 0.3: 5.0, 0.2: -15.0}
+
+        def measured(cfg, refine):
+            return SweepRow(cfg.eps, times[cfg.eps], 4.0, "blowup", (10.0, 5.0, 1.0))
+
+        monkeypatch.setattr(lifespan, "measure_lifespan", measured)
+        out = tmp_path / "results"
+        cfg = _write(tmp_path, "s.json", SWEEP_CONFIG)
+        assert main(["--quiet", "sweep", "--config", cfg, "--out", str(out)]) == 0
+
+        def refused(token):
+            raise AssertionError(f"fit.json holds the bare token {token}")
+
+        fit = json.loads((next(out.iterdir()) / "fit.json").read_text(), parse_constant=refused)
+        assert fit["fit_error"].startswith("blow-up row eps=0.2 has T_est=-15.0")
+        assert "fit" not in fit and "verdict" not in fit
+
     def test_sweep_reproducible(self, tmp_path):
         cfg = _write(tmp_path, "sweep.json", SWEEP_CONFIG)
         out = tmp_path / "results"
@@ -496,6 +515,8 @@ class TestSweep:
             "sweep",
             dict(SWEEP_CONFIG, base=dict(RUN_CONFIG, params=dict(RUN_CONFIG["params"], mu=0.0))),
         ),
+        # a config number is a JSON number, not a string that float() or int() parses
+        ("solve", dict(RUN_CONFIG, eps="1.2", nr="300")),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,77 @@ class TestFits:
         with pytest.warns(UserWarning, match="censored"):
             with pytest.raises(InsufficientDataError):
                 fit_power_law(res)
+
+    @pytest.mark.parametrize("t_bad", [-15.0, 0.0])
+    @pytest.mark.parametrize(
+        "fit",
+        [fit_power_law, lambda res: fit_exponential_law(res, 2.0)],
+        ids=["power", "exponential"],
+    )
+    def test_non_positive_lifespan_row_is_named_not_logged(self, fit, t_bad):
+        # richardson([10.0, 5.0, 1.0]) extrapolates a blow-up row to T = -15
+        rows = (
+            SweepRow(0.4, 2.0, 0.0, "blowup"),
+            SweepRow(0.3, 5.0, 0.0, "blowup"),
+            SweepRow(0.2, t_bad, 4.0, "blowup"),
+        )
+        res = SweepResult(rows, LifespanBound("algebraic", 2.0))
+        with pytest.raises(InsufficientDataError, match=rf"^blow-up row eps=0.2 has T_est={t_bad}"):
+            fit(res)
+
+
+def _exact_slope(x, y) -> Fraction:
+    """The least-squares slope through the float points (x, y), in exact rationals."""
+    X, Y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    x_mean, y_mean = sum(X) / len(X), sum(Y) / len(Y)
+    sxy = sum((a - x_mean) * (b - y_mean) for a, b in zip(X, Y))
+    return sxy / sum((a - x_mean) ** 2 for a in X)
+
+
+def _power_slope_error(eps, T) -> float:
+    """fit_power_law's slope on sweep rows (eps, T), relative to the exact one."""
+    rows = tuple(SweepRow(e, t, 0.0, "blowup") for e, t in zip(eps, T))
+    fit = fit_power_law(SweepResult(rows, LifespanBound("algebraic", 1.0)))
+    exact = _exact_slope(np.log(eps).tolist(), np.log(T).tolist())
+    return float(abs(Fraction(fit.slope) - exact) / abs(exact))
+
+
+class TestFitAccuracy:
+    def test_fits_make_no_lapack_solve(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a fit called a numpy least-squares routine")
+
+        for owner, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np, "dot")):
+            monkeypatch.setattr(owner, name, refused)
+        power = fit_power_law(_synthetic([0.4, 0.2, 0.1, 0.05], k=4.0 / 3.0))
+        assert power.slope == pytest.approx(-4.0 / 3.0, abs=1e-12)
+        p, C = 2.0, 0.7
+        rows = tuple(SweepRow(e, math.exp(C / e), 0.0, "blowup") for e in (0.5, 0.4, 0.3))
+        exponential = fit_exponential_law(SweepResult(rows, LifespanBound("exponential", 1.0)), p)
+        assert exponential.slope == pytest.approx(C, abs=1e-12)
+
+    def test_badly_conditioned_ladder_keeps_its_exact_slope(self):
+        # np.polyfit's SVD solve is off by 1.8e-13 relative on these rows
+        eps = [2.4424932800419374, 1.2564190780821636, 0.7571410569026813]
+        T = [6.158323063629774, 7.3495681904019285, 6.000416886998597]
+        assert _power_slope_error(eps, T) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=hs.floats(0.5, 10.0),
+        eps0=hs.floats(0.05, 5.0),
+        steps=hs.lists(
+            hs.tuples(hs.floats(0.3, 0.75), hs.floats(-0.1, 0.1)), min_size=3, max_size=8
+        ),
+    )
+    def test_power_law_ladder_slope_is_exact_to_1e_15(self, k, eps0, steps):
+        # each step: the ratio to the next epsilon, and this row's relative noise
+        eps, T = [], []
+        for ratio, noise in steps:
+            eps.append(eps0)
+            T.append(2.0 * eps0**-k * (1.0 + noise))
+            eps0 *= ratio
+        assert _power_slope_error(eps, T) <= 1e-15
 
 
 class TestVerdict:

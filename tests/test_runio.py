@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -167,6 +168,29 @@ def test_boolean_field_is_named_not_read_as_a_number(field, value, tmp_path):
     assert main(["--quiet", "solve", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("eps", "1.2", "number"),
+        ("t_max", "1_000", "number"),
+        ("mu", "0.5", "number"),
+        ("nr", " 2100 ", "integer"),
+        ("N", "\u0663", "integer"),  # ARABIC-INDIC DIGIT THREE: int() reads it as 3
+        ("monitor_stride", "5", "integer"),
+    ],
+)
+def test_numeric_string_field_is_named_not_read_as_a_number(field, value, kind, tmp_path):
+    # float() and int() parse these strings; a config field takes a JSON number only
+    doc = json.loads(json.dumps(RUN_DOC))
+    (doc["params"] if field in doc["params"] else doc)[field] = value
+    message = rf"^{field} must be an? {kind}, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(SimConfig, doc, "run config")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--quiet", "solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
 def test_integral_floats_are_read_as_ints():
     params = dict(RUN_DOC["params"], N=3.0, a=1.0, b=0.0)
     doc = dict(RUN_DOC, params=params, nr=200.0, monitor_stride=5.0)
@@ -301,6 +325,7 @@ def test_sweep_config_round_trip_and_hash(cfg):
         ([0.4, "x", 0.2], r"^eps_list\[1\] must be a number, got 'x'$"),
         ([0.4, True, 0.2], r"^eps_list\[1\] must be a number, got True$"),
         ([0.4, 0.3], r"^need >= 3 epsilons, got 2$"),
+        ([0.4, "0.3", 0.2], r"^eps_list\[1\] must be a number, got '0.3'$"),
     ],
 )
 def test_malformed_eps_list_is_named(eps_list, message):
