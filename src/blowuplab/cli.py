@@ -28,24 +28,30 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="blow-up region and lifespan exponents")
+    p_classify.set_defaults(func=_cmd_classify)
     p_classify.add_argument("--config", required=True)
 
     p_check = sub.add_parser("specfun-check", help="special-function verification table")
+    p_check.set_defaults(func=_cmd_specfun_check)
 
     p_solve = sub.add_parser("solve", help="one run with CSV/JSON artifacts")
+    p_solve.set_defaults(func=_cmd_solve)
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="functional verification of a run directory")
+    p_verify.set_defaults(func=_cmd_verify)
     p_verify.add_argument("run_dir")
     p_verify.add_argument("--t-lo", type=float, default=2.0)
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with scaling-law fit")
+    p_sweep.set_defaults(func=_cmd_sweep)
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_report = sub.add_parser("report", help="merge run manifests into a summary CSV")
+    p_report.set_defaults(func=_cmd_report)
     p_report.add_argument("--out", default=None)
     return ap
 
@@ -56,8 +62,7 @@ def _cmd_classify(args) -> int:
     )
     tag = exponents.classify(params)
     thr = exponents.thresholds(params)
-    bound = exponents.lifespan_exponent(params)
-    lifespan = {"kind": bound.kind, "exponent": bound.exponent}
+    lifespan = asdict(exponents.lifespan_exponent(params))
     print(
         json.dumps(
             {"classification": tag.value, "thresholds": thr, "lifespan": lifespan},
@@ -183,7 +188,7 @@ def _cmd_verify(args) -> int:
         res = functionals.residual_F(series, cfg.params)
         t_end = float(series.t[-1])
         mask = series.t <= 0.8 * t_end
-        max_rel = float(np.max(res.relative[mask])) if np.any(mask) else float("nan")
+        max_rel = float(np.max(res[mask])) if np.any(mask) else float("nan")
         res_ok = max_rel < 0.05  # NaN fails
         res_payload = {"max_rel": max_rel, "ok": res_ok}
     except InsufficientDataError as exc:
@@ -210,7 +215,7 @@ def _cmd_sweep(args) -> int:
     out = runio.default_out_dir(args.out)
     runio.artifact_dir(out, cfg, runio.SWEEP_FILES)
     result = sweep(cfg, jobs=args.jobs)
-    fit_payload: dict = {"bound": {"kind": result.bound.kind, "exponent": result.bound.exponent}}
+    fit_payload: dict = {"bound": asdict(result.bound)}
     unstable = sum(row.outcome == "unstable" for row in result.rows)
     if unstable:
         fit_payload["unstable_rows"] = unstable
@@ -248,20 +253,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "specfun-check": _cmd_specfun_check,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,11 +19,3 @@ class ConfigError(BlowupLabError, ValueError):
 
 class InsufficientDataError(BlowupLabError, ValueError):
     """A series or sweep does not contain enough points for the operation."""
-
-
-class KindMismatchError(BlowupLabError, ValueError):
-    """A fit and a theoretical bound have incompatible kinds."""
-
-
-class WindowEmptyError(BlowupLabError, ValueError):
-    """A requested time window contains no samples."""

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, WindowEmptyError
+from .errors import DomainError, InsufficientDataError
 from .exponents import ModelParams
 from .specfun import (
     TestFunctionContext,
@@ -145,17 +145,12 @@ def c_fg(ctx: TestFunctionContext, profile: "InitialProfile", eps: float) -> flo
     return eps * rho0 * surface_area(ctx.N) * float(np.dot(w, dens))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    relative: np.ndarray
-
-
-def residual_F(series: MonitorSeries, params: ModelParams) -> ResidualReport:
-    """Defect of F'' + mu/(1+t) F' = a int|u_t|^p + b int|u|^q on the series.
+def residual_F(series: MonitorSeries, params: ModelParams) -> np.ndarray:
+    """Relative defect of F'' + mu/(1+t) F' = a int|u_t|^p + b int|u|^q on the series.
 
     Derivatives by second-order differences on the (possibly nonuniform)
-    monitor time grid; the relative residual is scaled by the combined
-    magnitude of the identity's terms.
+    monitor time grid; the residual is scaled by the combined magnitude of
+    the identity's terms.
     """
     if len(series) < 5:
         raise InsufficientDataError(
@@ -174,7 +169,7 @@ def residual_F(series: MonitorSeries, params: ModelParams) -> ResidualReport:
         nl = nl + series.int_u_q
     res = Fpp + damp - nl
     scale = np.abs(Fpp) + np.abs(damp) + np.abs(nl) + 1e-300
-    return ResidualReport(relative=np.abs(res) / scale)
+    return np.abs(res) / scale
 
 
 def lemma31_ratio(ctx: TestFunctionContext, t: float, r_exp: float) -> float:
@@ -184,7 +179,7 @@ def lemma31_ratio(ctx: TestFunctionContext, t: float, r_exp: float) -> float:
     in log space (numerator by the fixed rule on [0, t + R]).
     """
     if t < 0:
-        raise WindowEmptyError(f"time must be nonnegative, got {t}")
+        raise DomainError(f"time must be nonnegative, got {t}")
     if r_exp <= 1:
         raise InsufficientDataError(f"exponent must exceed 1, got {r_exp}")
     upper = t + ctx.R
@@ -222,7 +217,7 @@ def coercivity_report(
     t_hi = 0.9 * t_end
     mask = (series.t >= t_lo) & (series.t <= t_hi)
     if t_lo >= t_hi or not np.any(mask):
-        raise WindowEmptyError(
+        raise InsufficientDataError(
             f"coercivity window [{t_lo}, {t_hi:.3g}] contains no samples"
         )
     if eps <= 0:

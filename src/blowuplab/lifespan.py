@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver
-from .errors import ConfigError, InsufficientDataError, KindMismatchError
+from .errors import ConfigError, DomainError, InsufficientDataError
 from .exponents import LifespanBound, lifespan_exponent
 from .solver import SimConfig
 
@@ -237,7 +237,7 @@ def compare_to_theory(
     """
     kinds = {"power": "algebraic", "exponential": "exponential"}
     if kinds.get(fit.kind) != bound.kind:
-        raise KindMismatchError(
+        raise DomainError(
             f"fit kind {fit.kind!r} does not match bound kind {bound.kind!r}"
         )
     k = bound.exponent

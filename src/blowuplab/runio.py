@@ -150,7 +150,7 @@ def _fmt(x: float) -> str:
 
 def write_series_csv(path: Path, series: MonitorSeries, params: ModelParams) -> None:
     try:
-        rel = residual_F(series, params).relative
+        rel = residual_F(series, params)
     except InsufficientDataError:
         rel = np.full(len(series), math.nan)
     # by column: csv.writer's bytes (repr cells, CRLF endings), no per-cell call
@@ -188,11 +188,11 @@ def read_series_csv(path) -> MonitorSeries:
 def default_out_dir(cli_value=None) -> Path:
     """The results directory: --out, else a non-empty $BLOWUPLAB_OUT, else ./results.
 
-    A path that exists and is not a directory is a ConfigError; `solve` and
-    `sweep` ask before their first run, so no run's work is lost to it.
+    A path that is, or lies below, an existing non-directory is a ConfigError;
+    `solve` and `sweep` ask before their first run, so no run's work is lost to it.
     """
     out = Path(cli_value or os.environ.get("BLOWUPLAB_OUT") or "results")
-    if out.exists() and not out.is_dir():
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
         raise ConfigError(f"no such results directory: {out}")
     return out
 
@@ -228,12 +228,9 @@ def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Pa
         "tool": TOOL_VERSION,
         "config": dataclasses.asdict(cfg),
         "config_hash": run_dir.name,
-        "outcome": result.outcome,
-        "t_blowup": result.t_blowup,
-        "reason": result.reason,
         "grid": {"h": cfg.h, "nr": cfg.nr, "L": cfg.L},
-        "steps": result.steps,
-        "amp0": result.amp0,
+        # every result field but the series, which monitors.csv holds
+        **{k: v for k, v in vars(result).items() if k != "monitors"},
     }
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)

@@ -203,7 +203,7 @@ def test_criterion_09_identity_residual(crit6_monitored):
     def worst_rel(result):
         rep = residual_F(result.monitors, CRIT6_PARAMS)
         t_hi = 0.8 * result.monitors.t[-1]
-        return float(np.max(rep.relative[result.monitors.t <= t_hi]))
+        return float(np.max(rep[result.monitors.t <= t_hi]))
 
     coarse = crit6_monitored[0.4]  # h = 0.02 ladder run
     cfg_fine = SimConfig(

@@ -368,6 +368,18 @@ class TestSweep:
         assert fit["fit"]["slope"] == pytest.approx(slope, abs=1e-3)
         assert "verdict" not in fit
 
+    def test_glassey_power_fits_an_exponential_law_with_no_verdict(self, tmp_path, capsys):
+        # p = p_G(N + mu) = 5.0: the bound is exponential, which no verdict compares
+        base = dict(RUN_CONFIG, params=dict(RUN_CONFIG["params"], p=5.0), nr=300)
+        doc = dict(SWEEP_CONFIG, base=base, eps_list=[1.6, 1.4, 1.2])
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", _write(tmp_path, "s.json", doc), "--out", str(out)]) == 0
+        assert "verdict=not-applicable" in capsys.readouterr().err
+        fit = json.loads((next(out.iterdir()) / "fit.json").read_text())
+        assert fit["bound"] == {"kind": "exponential", "exponent": 4.0}
+        assert fit["fit"]["kind"] == "exponential"
+        assert "verdict" not in fit
+
     def test_non_positive_lifespan_row_is_a_fit_error_not_nan(self, tmp_path, monkeypatch):
         # richardson([10.0, 5.0, 1.0]) = -15.0: a blow-up row the fit cannot take a log of
         times = {0.4: 2.0, 0.3: 5.0, 0.2: -15.0}
@@ -517,6 +529,7 @@ class TestSweep:
         ),
         # a config number is a JSON number, not a string that float() or int() parses
         ("solve", dict(RUN_CONFIG, eps="1.2", nr="300")),
+        ("solve", dict(RUN_CONFIG, monitor_stride=0)),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, command, doc):
@@ -680,6 +693,23 @@ def test_out_path_that_is_a_file_exit_2_before_any_run(
         assert afile.read_text() == "kept\n"
     else:
         assert list(adir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_out_path_below_a_file_exit_2_before_any_run(tmp_path, capsys, monkeypatch, command):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(cli, "sweep", no_run)
+    afile = tmp_path / "results"
+    afile.write_text("kept\n")
+    out = afile / "sub"
+    doc = SWEEP_CONFIG if command == "sweep" else RUN_CONFIG
+    argv = [command, "--out", str(out), "--config", _write(tmp_path, "c.json", doc)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: no such results directory: {out}\n"
+    assert afile.read_text() == "kept\n"
 
 
 def test_verify_report_path_that_is_a_directory_exit_2_before_any_quadrature(

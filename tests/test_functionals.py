@@ -11,7 +11,7 @@ from hypothesis import strategies as hs
 from scipy.integrate import quad
 
 from blowuplab import functionals, solver
-from blowuplab.errors import InsufficientDataError, WindowEmptyError
+from blowuplab.errors import DomainError, InsufficientDataError
 from blowuplab.exponents import ModelParams
 from blowuplab.functionals import (
     MonitorSeries,
@@ -228,7 +228,7 @@ class TestLemma31:
 
     def test_domain_errors(self):
         ctx = TestFunctionContext(N=1, mu=0.5, R=1.0)
-        with pytest.raises(WindowEmptyError):
+        with pytest.raises(DomainError):
             lemma31_ratio(ctx, -1.0, 2.0)
         with pytest.raises(InsufficientDataError):
             lemma31_ratio(ctx, 1.0, 1.0)
@@ -306,7 +306,7 @@ class TestResidualF:
         rep = residual_F(res.monitors, params)
         t_end = res.monitors.t[-1]
         window = res.monitors.t <= 0.8 * t_end
-        assert float(np.max(rep.relative[window])) < 0.05
+        assert float(np.max(rep[window])) < 0.05
 
     def test_decreases_under_refinement(self):
         params, coarse = _monitored_run(nr=400)
@@ -314,7 +314,7 @@ class TestResidualF:
         def worst(res):
             rep = residual_F(res.monitors, params)
             window = res.monitors.t <= 0.8 * res.monitors.t[-1]
-            return float(np.max(rep.relative[window]))
+            return float(np.max(rep[window]))
         assert worst(fine) < worst(coarse)
 
     def test_needs_enough_samples(self):
@@ -351,5 +351,7 @@ class TestCoercivity:
 
     def test_empty_window(self):
         _, res = _monitored_run()
-        with pytest.raises(WindowEmptyError):
-            coercivity_report(res.monitors, 0.35, t_lo=1e6)
+        empty = MonitorSeries(*(column[:0] for column in vars(res.monitors).values()))
+        for series, t_lo in ((res.monitors, 1e6), (empty, 2.0)):
+            with pytest.raises(InsufficientDataError):
+                coercivity_report(series, 0.35, t_lo=t_lo)

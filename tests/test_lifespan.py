@@ -13,11 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
 from blowuplab import solver
-from blowuplab.errors import (
-    ConfigError,
-    InsufficientDataError,
-    KindMismatchError,
-)
+from blowuplab.errors import ConfigError, DomainError, InsufficientDataError
 from blowuplab.exponents import LifespanBound, ModelParams
 from blowuplab.lifespan import (
     SweepConfig,
@@ -190,7 +186,7 @@ class TestVerdict:
 
     def test_kind_mismatch(self):
         fit = self._fit(-4.0 / 3.0)
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(DomainError):
             compare_to_theory(fit, LifespanBound("exponential", 1.0), tau=0.25)
 
 

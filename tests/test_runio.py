@@ -86,7 +86,7 @@ def test_written_bytes_are_csv_writer_bytes(tmp_path_factory, series):
     with np.errstate(all="ignore"):
         write_series_csv(path, series, PARAMS)
         try:
-            rel = residual_F(series, PARAMS).relative
+            rel = residual_F(series, PARAMS)
         except InsufficientDataError:
             rel = np.full(len(series), math.nan)
     expected = io.StringIO(newline="")
