@@ -9,14 +9,17 @@ a second-order reconstruction of u_t.
 The kernel works on the solver's support window: its input and output
 arrays hold the first n cells of the radial grid, every cell past the
 active index i_hi is exactly zero, and it updates cells 0..i_hi only.
+The first step (dt_prev = 0) is the second-order Taylor start
+u_1 = u_0 + dt v_0 + (dt^2/2)(lap u_0 - c v_0 + a|v_0|^p + b|u_0|^q + f):
+the same update with v_0 in u_prev's slot and the coefficients that
+`_step_coeffs` returns for dt_prev = 0, so every step runs this one kernel.
 `radial_laplacian` is the one discrete Laplacian of the package: a
 three-point stencil on the per-cell weights (up, down) of `radial_stencil`
 and the centre weight -2/h^2 - shift. Neither function builds the weights:
 the solver passes those of its state's RadialGrid, built once per state
-length. The solver's Taylor start uses radial_laplacian with shift 0;
-`advance` folds the level-n terms into the centre weight
-(shift alpha = acc_cur + c vel_cur), builds the rows straight into u_next
-with `out=` ufuncs and keeps the operation order (sums left to right) of
+length. `advance`, its one caller, folds the level-n terms into the centre
+weight (shift alpha = acc_cur + c vel_cur), builds the rows straight into
+u_next with `out=` ufuncs and keeps the operation order (sums left to right) of
 
     u_next = (up u_{i+1} + down u_{i-1} + centre u_i + a|v|^p + b|u|^q
               + forcing - beta u_prev) / denom,     beta = acc_old + c vel_old
@@ -28,8 +31,9 @@ of exact zeros: a and b are the model's flags, 0 or 1 (ModelParams), and a
 term whose flag is 0 is skipped, not added as 0. It regroups the terms of
 lap = ((u_{i+1} - 2u_i) + u_{i-1})/h^2 + ((dim-1)/r)(u_{i+1} - u_{i-1})/(2h)
 and v_next = (u_next - u)/dt + (dt/2)(acc_new u_next + acc_cur u + acc_old u_prev),
-so it agrees with them to rounding. v enters the step only through |v|^p,
-so `advance` takes the solver's state in place of v and adds the |v|^p
+so it agrees with them to rounding. Past the first step v enters only
+through |v|^p, so `advance` takes the solver's state in place of v (the
+first step reads state.v as its u_prev) and adds the |v|^p
 and |u|^q that it holds on its window (State.ut_p, State.u_q). It takes
 no power itself: the state takes each on its first read, so one that the
 monitor has read is not taken again. Its own work is 15 array passes for
@@ -42,9 +46,17 @@ import numpy as np
 
 
 def _step_coeffs(t, dt, dt_prev, mu):
-    """Scalar stencil coefficients of the nonuniform three-level update."""
-    s = dt + dt_prev
+    """Scalar stencil coefficients of the nonuniform three-level update.
+
+    At dt_prev = 0 they are the Taylor start's, with v_0 as u_prev: then
+    alpha = -2/dt^2, beta = c - 2/dt and (k1, k2, k3) = (2/dt, -2/dt, -1),
+    which also gives v_1 = v_0 + dt u_tt(0).
+    """
     c = mu / (1.0 + t)
+    if dt_prev == 0:
+        acc = 2.0 / (dt * dt)
+        return c, acc, -acc, -2.0 / dt, 0.0, 1.0, acc
+    s = dt + dt_prev
     acc_new = 2.0 / (dt * s)
     acc_cur = -2.0 / (dt * dt_prev)
     acc_old = 2.0 / (dt_prev * s)
@@ -63,7 +75,7 @@ def radial_stencil(dim, h, n):
     return inv + half, inv - half
 
 
-def radial_laplacian(u, h, dim, hi, stencil, out, scratch, shift=0.0):
+def radial_laplacian(u, h, dim, hi, stencil, out, scratch, shift):
     """u_rr + (dim-1)/r u_r - shift u at cells 0..hi, into and as out[:hi+1].
 
     Row i >= 1 is up u_{i+1} + down u_{i-1} + (-2/h^2 - shift) u_i, on the
@@ -90,8 +102,10 @@ def advance(u, u_prev, state, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i
     k = min(i_hi, n - 2), state.ut_p(p) (if a) and state.u_q(q) (if b)
     are |v|^p and |u|^q of the current level on at least k + 1 cells,
     `forcing` is None for the unforced equation or holds at least k + 1
-    cells, and stencil is radial_stencil(dim, h, j) for some j >= k. The
-    inputs are only read.
+    cells, and stencil is radial_stencil(dim, h, j) for some j >= k. At
+    dt_prev = 0 the step is the Taylor start: it reads state.v in u_prev's
+    place, and u_prev (None at the first step) is not read. The inputs are
+    only read.
     """
     n = u.shape[0]
     c, acc_new, acc_cur, acc_old, vel_cur, vel_old, denom = _step_coeffs(
@@ -99,7 +113,7 @@ def advance(u, u_prev, state, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i
     )
     hi = min(i_hi, n - 2)
     m = hi + 1
-    uw, pw = u[:m], u_prev[:m]
+    uw, pw = u[:m], (state.v if dt_prev == 0 else u_prev)[:m]
 
     u_next, v_next, tmp = np.zeros(n), np.zeros(n), np.empty(m)
     rhs = radial_laplacian(u, h, dim, hi, stencil, u_next, tmp, acc_cur + c * vel_cur)

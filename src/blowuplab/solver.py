@@ -9,6 +9,7 @@ the monitor (snapshot weights, log phi) read; a regrowth builds a new grid.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -269,7 +270,10 @@ def propose_dt(state: State, cfg: SimConfig) -> float:
     p, q, a, b = cfg.params.p, cfg.params.q, cfg.params.a, cfg.params.b
     amp_u, amp_v = state.amps
     # a source the equation lacks is skipped, not weighted by 0: 0 * inf is nan
-    amp = (amp_u ** (q - 1.0) if b else 0.0) + (amp_v ** (p - 1.0) if a else 0.0) + 1.0
+    try:
+        amp = (amp_u ** (q - 1.0) if b else 0.0) + (amp_v ** (p - 1.0) if a else 0.0) + 1.0
+    except OverflowError:  # past the float range: no step is small enough
+        return 0.0
     dt = min(cfg.cfl_dt, ETA / amp)
     if state.dt_prev > 0:
         dt = min(dt, DT_GROWTH * state.dt_prev)
@@ -277,7 +281,8 @@ def propose_dt(state: State, cfg: SimConfig) -> float:
 
 
 def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None, forcing=None) -> State:
-    """Advance one step; the first step is a second-order Taylor start.
+    """Advance one step by kernels.advance; the first step (dt_prev = 0)
+    is its second-order Taylor start.
 
     dt defaults to propose_dt(state, cfg); a caller that has already
     proposed it passes it in. A step reads the state's sources on cells
@@ -286,7 +291,6 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None, forcing=
     evaluated on those cells only, so it must vanish outside r <= t + R.
     """
     params = cfg.params
-    a, b = float(params.a), float(params.b)
     if dt is None:
         dt = propose_dt(state, cfg)
     t_next = state.t + dt
@@ -295,44 +299,10 @@ def time_step(state: State, cfg: SimConfig, dt: Optional[float] = None, forcing=
     if forcing is not None:
         forcing = np.asarray(forcing(np.arange(hi + 1) * cfg.h, state.t), dtype=float)
 
-    if state.step == 0:
-        w = slice(0, hi + 1)
-        u0, v0 = state.u[w], state.v[w]
-        # a source the equation lacks is skipped, not weighted by 0: 0 * inf is nan
-        src = 0.0
-        if a:
-            src = state.ut_p(params.p)[w]
-        if b:
-            src = src + state.u_q(params.q)[w]
-        acc = kernels.radial_laplacian(
-            state.u, cfg.h, params.N, hi, state.grid.stencil, np.empty(hi + 1), np.empty(hi)
-        )
-        acc = acc - params.mu * v0 + src
-        if forcing is not None:
-            acc = acc + forcing
-        u_next = np.zeros_like(state.u)
-        v_next = np.zeros_like(state.u)
-        u_next[w] = u0 + dt * v0 + 0.5 * dt * dt * acc
-        v_next[w] = v0 + dt * acc
-    else:
-        u_next, v_next = kernels.advance(
-            state.u,
-            state.u_prev,
-            state,
-            forcing,
-            state.t,
-            dt,
-            state.dt_prev,
-            cfg.h,
-            params.N,
-            params.mu,
-            a,
-            b,
-            params.p,
-            params.q,
-            hi,
-            state.grid.stencil,
-        )
+    u_next, v_next = kernels.advance(
+        state.u, state.u_prev, state, forcing, state.t, dt, state.dt_prev, cfg.h,
+        params.N, params.mu, params.a, params.b, params.p, params.q, hi, state.grid.stencil,
+    )
     return State(
         t=t_next,
         dt_prev=dt,
@@ -372,6 +342,11 @@ def run(cfg: SimConfig, monitor: bool = True, forcing=None) -> RunResult:
         if dt < cfg.dt_min:
             outcome, t_blow = "blowup", state.t
             reason = f"dt={dt:.3e} fell below dt_min"
+            break
+        # the kernel divides by dt^2 and dt dt_prev >= dt^2 / DT_GROWTH
+        if dt * dt < sys.float_info.min:
+            outcome, t_blow = "blowup", state.t
+            reason = f"dt={dt:.3e} fell below the floor dt^2 >= smallest normal float"
             break
         state = time_step(state, cfg, dt, forcing)
         if not state.finite():

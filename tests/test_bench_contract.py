@@ -67,7 +67,7 @@ def test_traced_solve_records_every_layer(tmp_path):
     m = layer_metrics(tracer)
     assert m["solver.runs"] == 1
     assert m["solver.steps"] > 0
-    assert m["kernels.calls"] == m["solver.steps"] - 1  # the first step is the Taylor start
+    assert m["kernels.calls"] == m["solver.steps"]  # the first step included
     assert m["solver.propose_dt.calls"] <= m["solver.steps"] + m["solver.runs"]
     assert m["functionals.compute_snapshot.calls"] > 0
     assert m["functionals.lemma31_ratio.calls"] > 0

@@ -111,7 +111,7 @@ class TestTimeStepping:
         params = ModelParams(N=2, mu=0.5, p=1.9, q=2.2, a=1, b=1)
         cfg = SimConfig(params=params, eps=0.5, L=12.0, nr=100, t_max=4.0)
         first = build_initial_state(cfg)
-        for st in (first, time_step(first, cfg)):  # Taylor start, then the kernel
+        for st in (first, time_step(first, cfg)):  # the Taylor start, then a later step
             n = 4 * st.u.shape[0]
             wide = State(
                 t=st.t, dt_prev=st.dt_prev, u=solver._padded(st.u, n),
@@ -404,7 +404,7 @@ class TestMagnitudes:
         cfg = SimConfig(params=params, eps=1.2, L=21.0, nr=300, t_max=20.0)
         res = run(cfg)
         assert res.outcome == "blowup"
-        assert len(calls) == res.steps - 1  # the first step is the Taylor start
+        assert len(calls) == res.steps  # the Taylor start is a kernel call too
         assert len({c.u.shape[0] for c in covered}) > 1  # the state regrew
         assert not inner_abs
 
@@ -461,7 +461,7 @@ class TestMagnitudes:
                 own = area * float(np.dot(w, values))
                 assert getattr(res.monitors, column)[i].tobytes() == np.float64(own).tobytes()
 
-        # unmonitored with b = 0: no |u|^q pass, the Taylor start's included
+        # unmonitored with b = 0: no |u|^q pass, the first step's included
         passes.clear()
         covered.clear()
         monkeypatch.setattr(kernels, "advance", advance)
@@ -652,8 +652,8 @@ class TestRun:
 
         def poisoned(*args, **kwargs):
             u_next, v_next = advance(*args, **kwargs)
-            # the first kernel call makes step 2 (step 1 is the Taylor start)
-            if poisoned.calls == k - 2:
+            # the first kernel call, the Taylor start, makes step 1
+            if poisoned.calls == k - 1:
                 target = u_next if field == "u" else v_next
                 target[args[14] // 2] = bad
             poisoned.calls += 1
@@ -668,6 +668,39 @@ class TestRun:
         assert res.t_blowup is None
         for name in MONITOR_COLUMNS:
             assert np.isfinite(getattr(res.monitors, name)).all(), name
+
+    @pytest.mark.parametrize(
+        "dt_min, floor",
+        [(1e-10, "fell below dt_min"), (0.0, "fell below the floor dt^2 >= smallest normal float")],
+        ids=["dt_min", "float-floor"],
+    )
+    def test_amplitude_past_the_float_range_ends_as_blowup(self, dt_min, floor):
+        # eps = 1e200: max|u_t|^(p-1) = 1e400 raised OverflowError out of
+        # propose_dt, and so out of run
+        params = ModelParams(N=1, mu=0.5, p=3.0, q=2.0, a=1, b=0)
+        cfg = SimConfig(params=params, eps=1e200, L=12.0, nr=200, t_max=10.0, dt_min=dt_min)
+        assert propose_dt(build_initial_state(cfg), cfg) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the snapshot's powers overflow
+            res = run(cfg)
+        assert (res.outcome, res.t_blowup, res.steps) == ("blowup", 0.0, 0)
+        assert res.reason.endswith(floor)
+
+    def test_dt_underflow_ends_as_blowup(self):
+        # with no dt_min and a threshold of 1e300, dt shrinks with the
+        # amplitude until dt (dt + dt_prev) underflowed to 0, and the step
+        # coefficients raised ZeroDivisionError at step 27
+        params = ModelParams(N=1, mu=0.5, p=3.0, q=2.0, a=1, b=0)
+        cfg = SimConfig(
+            params=params, eps=1.0, L=12.0, nr=200, t_max=10.0,
+            blowup_threshold=1e300, dt_min=0.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the last snapshot's powers overflow
+            res = run(cfg)
+        assert (res.outcome, res.steps) == ("blowup", 27)
+        assert res.t_blowup == pytest.approx(0.6237, abs=1e-4)
+        assert res.reason.endswith("fell below the floor dt^2 >= smallest normal float")
 
 
 class TestMeasureLifespan:
