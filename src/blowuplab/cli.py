@@ -179,7 +179,7 @@ def _cmd_verify(args) -> int:
             "violated": coer.violated,
         }
         coer_ok = not coer.violated
-    except BlowupLabError as exc:
+    except InsufficientDataError as exc:
         # window too short to judge: reported as skipped, neither pass nor failure
         coer_payload = {"error": str(exc), "status": "skipped"}
         coer_ok = True
@@ -201,9 +201,7 @@ def _cmd_verify(args) -> int:
         "coercivity": coer_payload,
         "residual_F": res_payload,
     }
-    with open(dest, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    runio.write_json(dest, report)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0 if (lemma_ok and coer_ok and res_ok) else 1
 

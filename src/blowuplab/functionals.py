@@ -160,13 +160,7 @@ def residual_F(series: MonitorSeries, params: ModelParams) -> np.ndarray:
     Fp = np.gradient(F, t, edge_order=2)
     Fpp = np.gradient(Fp, t, edge_order=2)
     damp = params.mu / (1.0 + t) * Fp
-    # as in the solver, a source the equation lacks is skipped, not weighted
-    # by 0: its column may be inf (|u|^q overflows at large q), and 0 * inf is nan
-    nl = 0.0
-    if params.a:
-        nl = series.int_ut_p
-    if params.b:
-        nl = nl + series.int_u_q
+    nl = series.int_ut_p + series.int_u_q  # compute_snapshot zeroes an absent source
     res = Fpp + damp - nl
     scale = np.abs(Fpp) + np.abs(damp) + np.abs(nl) + 1e-300
     return np.abs(res) / scale

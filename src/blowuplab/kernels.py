@@ -13,12 +13,12 @@ The first step (dt_prev = 0) is the second-order Taylor start
 u_1 = u_0 + dt v_0 + (dt^2/2)(lap u_0 - c v_0 + a|v_0|^p + b|u_0|^q + f):
 the same update with v_0 in u_prev's slot and the coefficients that
 `_step_coeffs` returns for dt_prev = 0, so every step runs this one kernel.
-`radial_laplacian` is the one discrete Laplacian of the package: a
-three-point stencil on the per-cell weights (up, down) of `radial_stencil`
-and the centre weight -2/h^2 - shift. Neither function builds the weights:
-the solver passes those of its state's RadialGrid, built once per state
-length. `advance`, its one caller, folds the level-n terms into the centre
-weight (shift alpha = acc_cur + c vel_cur), builds the rows straight into
+`advance` builds the one discrete Laplacian of the package itself: the
+regularized origin row 2 dim (u_1 - u_0)/h^2 and a three-point stencil on
+the per-cell weights (up, down) of `radial_stencil`, which the solver
+passes from its state's RadialGrid, built once per state length. It folds
+the level-n terms into the centre weight -2/h^2 - alpha (alpha = acc_cur +
+c vel_cur, subtracted at the origin row too), builds the rows straight into
 u_next with `out=` ufuncs and keeps the operation order (sums left to right) of
 
     u_next = (up u_{i+1} + down u_{i-1} + centre u_i + a|v|^p + b|u|^q
@@ -75,25 +75,6 @@ def radial_stencil(dim, h, n):
     return inv + half, inv - half
 
 
-def radial_laplacian(u, h, dim, hi, stencil, out, scratch, shift):
-    """u_rr + (dim-1)/r u_r - shift u at cells 0..hi, into and as out[:hi+1].
-
-    Row i >= 1 is up u_{i+1} + down u_{i-1} + (-2/h^2 - shift) u_i, on the
-    weights of `radial_stencil`; the origin row is the regularized limit
-    2 dim (u_1 - u_0) / h^2, minus shift u_0. u must hold at least hi + 2
-    cells, scratch and each weight array at least hi; out and scratch must
-    not overlap each other or u.
-    """
-    up, down = stencil
-    lap = out[: hi + 1]
-    lap[0] = 2.0 * dim * (u[1] - u[0]) / (h * h) - shift * u[0]
-    rows, tmp = lap[1:], scratch[:hi]
-    np.multiply(up[:hi], u[2 : hi + 2], out=rows)
-    rows += np.multiply(down[:hi], u[0:hi], out=tmp)
-    rows += np.multiply(u[1 : hi + 1], -2.0 / (h * h) - shift, out=tmp)
-    return lap
-
-
 def advance(u, u_prev, state, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i_hi, stencil):
     """One step of the scheme; returns (u_next, v_next), as long as u.
 
@@ -116,7 +97,11 @@ def advance(u, u_prev, state, forcing, t, dt, dt_prev, h, dim, mu, a, b, p, q, i
     uw, pw = u[:m], (state.v if dt_prev == 0 else u_prev)[:m]
 
     u_next, v_next, tmp = np.zeros(n), np.zeros(n), np.empty(m)
-    rhs = radial_laplacian(u, h, dim, hi, stencil, u_next, tmp, acc_cur + c * vel_cur)
+    (up, down), alpha, rhs = stencil, acc_cur + c * vel_cur, u_next[:m]
+    rhs[0] = 2.0 * dim * (u[1] - u[0]) / (h * h) - alpha * u[0]  # the origin row
+    rows = np.multiply(up[:hi], u[2 : hi + 2], out=u_next[1:m])
+    rows += np.multiply(down[:hi], u[0:hi], out=tmp[:hi])
+    rows += np.multiply(u[1:m], -2.0 / (h * h) - alpha, out=tmp[:hi])
     if a:
         rhs += state.ut_p(p)[:m]
     if b:

@@ -144,6 +144,13 @@ def load_json(path) -> dict:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def write_json(path, doc) -> None:
+    """doc as a JSON artifact: sorted keys, two-space indent, final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -232,9 +239,7 @@ def write_run_artifacts(out_root: Path, cfg: SimConfig, result: RunResult) -> Pa
         # every result field but the series, which monitors.csv holds
         **{k: v for k, v in vars(result).items() if k != "monitors"},
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return run_dir
 
 
@@ -250,9 +255,7 @@ def write_sweep_artifacts(
         writer.writerow(["eps", "T_est", "uncertainty", "outcome"])
         for row in result.rows:
             writer.writerow([_fmt(row.eps), _fmt(row.T_est), _fmt(row.uncertainty), row.outcome])
-    with open(fit_path, "w") as fh:
-        json.dump(fit_payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(fit_path, fit_payload)
     return sweep_dir
 
 

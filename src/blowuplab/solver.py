@@ -322,6 +322,7 @@ def discrete_energy(state: State, cfg: SimConfig) -> float:
     return surface_area(cfg.params.N) * float(np.dot(state.grid.weights, dens))
 
 
+@np.errstate(over="ignore")  # inf is an outcome a run records (blowup, unstable, inf integral)
 def run(cfg: SimConfig, monitor: bool = True, forcing=None) -> RunResult:
     """Iterate time_step until blow-up, t >= t_max, or instability; forcing
     is passed to every step."""

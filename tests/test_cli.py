@@ -13,6 +13,7 @@ import pytest
 
 from blowuplab import cli, functionals, lifespan, runio
 from blowuplab.cli import main
+from blowuplab.errors import DomainError
 from blowuplab.lifespan import SweepConfig, SweepRow
 from blowuplab.solver import SimConfig
 
@@ -319,6 +320,21 @@ class TestVerify:
         assert report["coercivity"]["status"] == "skipped"
         assert "error" in report["coercivity"]
         assert "minG1_over_eps" not in report["coercivity"]
+
+    def test_coercivity_error_is_an_error_not_a_skip(self, tmp_path, capsys, monkeypatch):
+        # only too little data skips a check; any other error ends verify
+        # with exit 1 and writes no report
+        run_dir = self._solved(tmp_path, capsys)
+
+        def broken(*args, **kwargs):
+            raise DomainError("coercivity window out of the domain")
+
+        monkeypatch.setattr(functionals, "coercivity_report", broken)
+        assert main(["verify", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: coercivity window out of the domain\n"
+        assert captured.out == ""
+        assert not (run_dir / "verify.json").exists()
 
     def test_too_few_snapshots_for_the_residual_is_skipped(self, tmp_path, capsys):
         # 4 steps and 2 snapshots: too few for the F'' identity's differences

@@ -302,21 +302,6 @@ def test_advance_skips_a_source_whose_flag_is_zero(d, zeros, negative):
     assert np.array_equal(un, ru) and np.array_equal(vn, rv)
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=hs.integers(4, 400), hi=hs.integers(0, 398), dim=hs.integers(1, 4),
-       h=hs.floats(0.005, 0.2), shift=hs.sampled_from([0.0, -3.5e4]),
-       seed=hs.integers(0, 2**32 - 1))
-def test_radial_laplacian_writes_only_its_cells(n, hi, dim, h, shift, seed):
-    hi = min(hi, n - 2)
-    u = np.random.default_rng(seed).standard_normal(n)
-    out, scratch = np.full(n, 7.0), np.full(n, 7.0)
-    stencil = kernels.radial_stencil(dim, h, n - 1)
-    lap = kernels.radial_laplacian(u, h, dim, hi, stencil, out, scratch, shift)
-    assert np.shares_memory(lap, out) and lap.shape == (hi + 1,)
-    assert lap.tobytes() == _reference_laplacian(u, h, dim, hi, shift).tobytes()
-    assert np.all(out[hi + 1 :] == 7.0) and np.all(scratch[hi:] == 7.0)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_step_args)
 def test_advance_matches_former_grouping_to_rounding(d):

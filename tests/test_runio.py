@@ -98,6 +98,18 @@ def test_written_bytes_are_csv_writer_bytes(tmp_path_factory, series):
     assert path.read_bytes() == expected.getvalue().encode()
 
 
+def test_json_artifact_format(tmp_path):
+    # every JSON artifact: sorted keys, two-space indent, a final newline
+    doc = {"b": [1.5, None], "a": {"z": math.inf, "y": "x"}}
+    path = tmp_path / "fit.json"
+    runio.write_json(path, doc)
+    assert path.read_text() == (
+        '{\n  "a": {\n    "y": "x",\n    "z": Infinity\n  },\n'
+        '  "b": [\n    1.5,\n    null\n  ]\n}\n'
+    )
+    assert runio.load_json(path) == doc
+
+
 def test_header_only_file_reads_as_empty_series(tmp_path):
     path = tmp_path / "monitors.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\r\n")

@@ -670,21 +670,29 @@ class TestRun:
             assert np.isfinite(getattr(res.monitors, name)).all(), name
 
     @pytest.mark.parametrize(
-        "dt_min, floor",
-        [(1e-10, "fell below dt_min"), (0.0, "fell below the floor dt^2 >= smallest normal float")],
-        ids=["dt_min", "float-floor"],
+        "dt_min, floor, a, b",
+        [
+            (1e-10, "fell below dt_min", 1, 0),
+            (0.0, "fell below the floor dt^2 >= smallest normal float", 1, 0),
+            (1e-10, "fell below dt_min", 0, 1),
+        ],
+        ids=["dt_min", "float-floor", "u_q-dt_min"],
     )
-    def test_amplitude_past_the_float_range_ends_as_blowup(self, dt_min, floor):
-        # eps = 1e200: max|u_t|^(p-1) = 1e400 raised OverflowError out of
-        # propose_dt, and so out of run
-        params = ModelParams(N=1, mu=0.5, p=3.0, q=2.0, a=1, b=0)
+    def test_amplitude_past_the_float_range_ends_as_blowup(self, dt_min, floor, a, b):
+        # eps = 1e200: max|u_t|^(p-1) = 1e400 (or max|u|^(q-1)) raised
+        # OverflowError out of propose_dt, and so out of run; the snapshot's
+        # power overflowed to inf with a numpy RuntimeWarning
+        params = ModelParams(N=1, mu=0.5, p=3.0, q=3.0, a=a, b=b)
         cfg = SimConfig(params=params, eps=1e200, L=12.0, nr=200, t_max=10.0, dt_min=dt_min)
         assert propose_dt(build_initial_state(cfg), cfg) == 0.0
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the snapshot's powers overflow
+            warnings.simplefilter("error")  # an overflow the run records is no warning
             res = run(cfg)
         assert (res.outcome, res.t_blowup, res.steps) == ("blowup", 0.0, 0)
         assert res.reason.endswith(floor)
+        present = res.monitors.int_ut_p if a else res.monitors.int_u_q
+        absent = res.monitors.int_u_q if a else res.monitors.int_ut_p
+        assert present[0] == math.inf and absent[0] == 0.0
 
     def test_dt_underflow_ends_as_blowup(self):
         # with no dt_min and a threshold of 1e300, dt shrinks with the
@@ -696,7 +704,7 @@ class TestRun:
             blowup_threshold=1e300, dt_min=0.0,
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the last snapshot's powers overflow
+            warnings.simplefilter("error")  # the last snapshot's power overflows, unwarned
             res = run(cfg)
         assert (res.outcome, res.steps) == ("blowup", 27)
         assert res.t_blowup == pytest.approx(0.6237, abs=1e-4)
