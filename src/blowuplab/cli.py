@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: classify, specfun-check, solve, verify, sweep, report.
-Exit codes: 0 success (or inconclusive), 1 verification/fit failure,
+Exit codes: 0 success (or inconclusive), 1 verification/fit failure or
+any other error a command raises (printed as `error: ...`),
 2 config or parse error.
 """
 
@@ -201,8 +202,7 @@ def _cmd_verify(args) -> int:
         "coercivity": coer_payload,
         "residual_F": res_payload,
     }
-    runio.write_json(dest, report)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    sys.stdout.write(runio.write_json(dest, report))
     return 0 if (lemma_ok and coer_ok and res_ok) else 1
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -144,15 +145,35 @@ def load_json(path) -> dict:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def write_json(path, doc) -> None:
-    """doc as a JSON artifact: sorted keys, two-space indent, final newline."""
+def _strict(doc):
+    """doc with each non-finite float as None, which JSON writes as null."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    if isinstance(doc, dict):
+        return {k: _strict(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict(v) for v in doc]
+    return doc
+
+
+def write_json(path, doc) -> str:
+    """doc as a JSON artifact: sorted keys, two-space indent, final newline.
+    A non-finite float is written as null, so that the file is strict JSON;
+    beside a check's value, the check's own flag says that it failed.
+    Returns the text written."""
+    text = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
+    return text
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+# Rows of monitors.csv that its writer and reader hold as Python objects at
+# a time, so that neither holds more of the table than its float64 columns.
+_CSV_BLOCK = 64
 
 
 def write_series_csv(path: Path, series: MonitorSeries, params: ModelParams) -> None:
@@ -160,11 +181,31 @@ def write_series_csv(path: Path, series: MonitorSeries, params: ModelParams) -> 
         rel = residual_F(series, params)
     except InsufficientDataError:
         rel = np.full(len(series), math.nan)
-    # by column: csv.writer's bytes (repr cells, CRLF endings), no per-cell call
-    cols = [getattr(series, name).tolist() for name in MONITOR_COLUMNS] + [rel.tolist()]
-    lines = [",".join(CSV_COLUMNS)] + [",".join(map(repr, row)) for row in zip(*cols)]
+    columns = [getattr(series, name) for name in MONITOR_COLUMNS] + [rel]
+    # csv.writer's bytes (repr cells, CRLF endings), by column within a block
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for lo in range(0, len(series), _CSV_BLOCK):
+            block = [col[lo : lo + _CSV_BLOCK].tolist() for col in columns]
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in zip(*block)))
+
+
+def _parse_block(path, rows: list, index: list, first: int) -> np.ndarray:
+    """The monitor columns of rows, one array row per column; rows[0] is
+    data row `first`, by which number a bad cell is named."""
+    try:
+        return np.array([[row[j] for row in rows] for j in index], dtype=float)
+    except (IndexError, ValueError):
+        for i, row in enumerate(rows, start=first):  # name the first bad cell
+            for name, j in zip(MONITOR_COLUMNS, index):
+                where = f"{path} row {i} column {name!r}"
+                if j >= len(row):
+                    raise ConfigError(f"{where} has no value")
+                try:
+                    float(row[j])
+                except ValueError:
+                    raise ConfigError(f"{where} must be a number, got {row[j]!r}") from None
+        raise
 
 
 def read_series_csv(path) -> MonitorSeries:
@@ -175,21 +216,13 @@ def read_series_csv(path) -> MonitorSeries:
         if missing:
             raise ConfigError(f"{path}: missing monitor column(s) {', '.join(missing)}")
         index = [header.index(name) for name in MONITOR_COLUMNS]
-        rows = [row for row in reader if row]  # blank lines are skipped
-    cols = list(zip(*rows)) if rows else [()] * len(header)  # one tuple per column
-    try:
-        return MonitorSeries(*(np.array(cols[j], dtype=float) for j in index))
-    except (IndexError, ValueError):
-        for i, row in enumerate(rows, start=1):  # name the first bad cell
-            for name, j in zip(MONITOR_COLUMNS, index):
-                where = f"{path} row {i} column {name!r}"
-                if j >= len(row):
-                    raise ConfigError(f"{where} has no value")
-                try:
-                    float(row[j])
-                except ValueError:
-                    raise ConfigError(f"{where} must be a number, got {row[j]!r}") from None
-        raise
+        rows = filter(None, reader)  # blank lines are skipped
+        blocks = [np.empty((len(index), 0))]  # a header-only file reads as empty columns
+        first = 1
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            blocks.append(_parse_block(path, block, index, first))
+            first += len(block)
+    return MonitorSeries(*np.concatenate(blocks, axis=1))
 
 
 def default_out_dir(cli_value=None) -> Path:

@@ -58,8 +58,9 @@ _FIXED_NODES = 256
 # Equal steps of the K_nu trapezoid rule.
 _KV_STEPS = 64
 
-# Values in one (rows x nodes) temporary of a batched quadrature: 128 KiB.
-_CHUNK_ELEMENTS = 1 << 14
+# Values in one (rows x nodes) temporary of a batched quadrature: 32 KiB,
+# 63 times of the 65-node K_nu rule or 16 radii of the 256-node theta rule.
+_CHUNK_ELEMENTS = 1 << 12
 
 
 def fixed_rule(upper: float) -> tuple[np.ndarray, np.ndarray]:

@@ -274,8 +274,10 @@ class TestVerify:
         lines[2] = ",".join(cells[:2] + ["nan"] + cells[3:])  # data row 2, column F
         path.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(run_dir)]) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert math.isnan(report["residual_F"]["max_rel"])
+        out = capsys.readouterr().out
+        assert out == (run_dir / "verify.json").read_text()  # stdout is the artifact's text
+        report = json.loads(out)
+        assert report["residual_F"]["max_rel"] is None  # NaN, which strict JSON writes as null
         assert report["residual_F"]["ok"] is False
 
     @pytest.mark.parametrize("value", ["x", None, [0.4]])

@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,36 +79,41 @@ def test_round_trip_is_bitwise(tmp_path_factory, series):
         assert all(math.isnan(float(r["residual"])) for r in rows)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_series())
-def test_written_bytes_are_csv_writer_bytes(tmp_path_factory, series):
+def _csv_writer_bytes(series: MonitorSeries) -> bytes:
     # the format: csv.writer's output of repr cells, with \r\n line endings
-    path = tmp_path_factory.mktemp("csv") / "monitors.csv"
-    with np.errstate(all="ignore"):
-        write_series_csv(path, series, PARAMS)
-        try:
-            rel = residual_F(series, PARAMS)
-        except InsufficientDataError:
-            rel = np.full(len(series), math.nan)
+    try:
+        rel = residual_F(series, PARAMS)
+    except InsufficientDataError:
+        rel = np.full(len(series), math.nan)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(CSV_COLUMNS)
     cols = [getattr(series, name) for name in MONITOR_COLUMNS] + [rel]
     for i in range(len(series)):
         writer.writerow([repr(float(col[i])) for col in cols])
-    assert path.read_bytes() == expected.getvalue().encode()
+    return expected.getvalue().encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series())
+def test_written_bytes_are_csv_writer_bytes(tmp_path_factory, series):
+    path = tmp_path_factory.mktemp("csv") / "monitors.csv"
+    with np.errstate(all="ignore"):
+        write_series_csv(path, series, PARAMS)
+        assert path.read_bytes() == _csv_writer_bytes(series)
 
 
 def test_json_artifact_format(tmp_path):
-    # every JSON artifact: sorted keys, two-space indent, a final newline
-    doc = {"b": [1.5, None], "a": {"z": math.inf, "y": "x"}}
+    # every JSON artifact: sorted keys, two-space indent, a final newline,
+    # and strict JSON: a non-finite float is written as null
+    doc = {"b": [1.5, None, math.nan], "a": {"z": math.inf, "y": "x"}}
     path = tmp_path / "fit.json"
-    runio.write_json(path, doc)
-    assert path.read_text() == (
-        '{\n  "a": {\n    "y": "x",\n    "z": Infinity\n  },\n'
-        '  "b": [\n    1.5,\n    null\n  ]\n}\n'
+    text = runio.write_json(path, doc)
+    assert path.read_text() == text == (
+        '{\n  "a": {\n    "y": "x",\n    "z": null\n  },\n'
+        '  "b": [\n    1.5,\n    null,\n    null\n  ]\n}\n'
     )
-    assert runio.load_json(path) == doc
+    assert runio.load_json(path) == {"b": [1.5, None, None], "a": {"z": None, "y": "x"}}
 
 
 def test_header_only_file_reads_as_empty_series(tmp_path):
@@ -147,6 +153,86 @@ def test_missing_column_raises_config_error(tmp_path, dropped):
         writer.writerow(["1.0"] * len(names))
     with pytest.raises(ConfigError, match=rf"column\(s\) {dropped}$"):
         read_series_csv(path)
+
+
+def _long_series(n: int) -> MonitorSeries:
+    # increasing times and random full-precision values, the longest repr cells
+    rng = np.random.default_rng(n)
+    cols = {name: rng.random(n) for name in MONITOR_COLUMNS}
+    cols["t"] = np.cumsum(rng.random(n) + 0.01)
+    return MonitorSeries(**cols)
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(row + "\r\n" for row in rows)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_block_sized_files_round_trip_bitwise(tmp_path, n):
+    # a table of exactly one or two 64-row blocks, and one row either side
+    series = _long_series(n)
+    path = tmp_path / "monitors.csv"
+    write_series_csv(path, series, PARAMS)
+    assert path.read_bytes() == _csv_writer_bytes(series)
+    back = read_series_csv(path)
+    for name in MONITOR_COLUMNS:
+        assert _same_bits(getattr(series, name), getattr(back, name)), name
+
+
+@pytest.mark.parametrize("bad_row", [1, 64, 65, 128, 130])
+@pytest.mark.parametrize("cell, message", [("x", "must be a number, got 'x'"), (None, "has no value")])
+def test_bad_cell_is_named_by_its_row_across_blocks(tmp_path, bad_row, cell, message):
+    rows = [",".join(["1.5"] * len(CSV_COLUMNS)) for _ in range(200)]
+    cells = ["1.5"] * len(CSV_COLUMNS)
+    cells[MONITOR_COLUMNS.index("F")] = cell if cell is not None else ""
+    # a row that stops before column F has no value there
+    rows[bad_row - 1] = ",".join(cells if cell is not None else cells[:2])
+    rows[bad_row + 9] = ",".join(["y"] * len(CSV_COLUMNS))  # a later bad row is not named
+    path = tmp_path / "monitors.csv"
+    _write_rows(path, rows)
+    with pytest.raises(ConfigError, match=rf"row {bad_row} column 'F' {message}$"):
+        read_series_csv(path)
+
+
+def test_blank_lines_at_block_boundaries_are_skipped(tmp_path):
+    series = _long_series(200)
+    path = tmp_path / "monitors.csv"
+    write_series_csv(path, series, PARAMS)
+    header, *rows = path.read_text().splitlines()
+    # blank lines before the first row, at the 64- and 128-row boundaries and at the end
+    for at in (len(rows), 128, 128, 64, 63, 0):
+        rows.insert(at, "")
+    _write_rows(path, rows)
+    back = read_series_csv(path)
+    for name in MONITOR_COLUMNS:
+        assert _same_bits(getattr(series, name), getattr(back, name)), name
+    # the data-row numbers that name a bad cell count no blank line
+    rows[-2] = "x" + rows[-2]  # data row 200, after five blank lines
+    _write_rows(path, rows)
+    with pytest.raises(ConfigError, match=r"row 200 column 't'"):
+        read_series_csv(path)
+
+
+def test_monitor_csv_io_holds_little_beyond_the_float64_table(tmp_path):
+    # a 20,000-row series: the writer and the reader hold a 64-row block of
+    # Python objects, not the whole table (13x its float64 bytes)
+    series = _long_series(20_000)
+    table = len(series) * len(MONITOR_COLUMNS) * 8
+    path = tmp_path / "monitors.csv"
+    write_series_csv(path, series, PARAMS)  # warm every import and cache
+    read_series_csv(path)
+    peaks = []
+    for io_call in (lambda: write_series_csv(path, series, PARAMS), lambda: read_series_csv(path)):
+        tracemalloc.start()
+        try:
+            io_call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.5 * table
+    assert peaks[1] < 3 * table
 
 
 RUN_DOC = {
